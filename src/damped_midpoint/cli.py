@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import convergence_study, energy_report, period_estimate
+from .diagnostics import EnergyReport, convergence_study, energy_report, \
+    period_estimate
 from .errors import ConfigError, InsufficientOscillationError, IntegrationError, \
     SingularMatrixError
 from .integrators import METHODS, Trajectory, integrate, scheme_factors
@@ -191,7 +192,7 @@ def _write_atomic(path: Path, text: str):
     os.replace(tmp, path)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -210,31 +211,36 @@ def _prepare_prefix(prefix: str) -> Path:
 
 # --- artifact builders ------------------------------------------------------
 
-def trajectory_csv(tr: Trajectory) -> str:
-    """Render a trajectory as the canonical run CSV (initial row included)."""
+def _indirect_defects(tr: Trajectory) -> list:
+    """Per-step indirect defects, None on singular steps."""
+    return [None if singular else defect for singular, defect
+            in zip(tr.singular.tolist(), tr.defect_indirect.tolist())]
+
+
+def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
+    """Render a trajectory and its energy report as the canonical run CSV
+    (initial row included)."""
     n = tr.system.n
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"p_{i}" for i in range(n)]
               + ["E", "work_cum", "hhat", "defect_direct", "defect_indirect", "singular"])
-    report = energy_report(tr)
-    rows = []
     e0 = report.initial_energy
-    rows.append([0, tr.initial.t] + list(tr.initial.q) + list(tr.initial.p)
-                + [e0, 0.0, e0, None, None, False])
-    for k, rec in enumerate(tr.steps, start=1):
-        rows.append([k, rec.state.t] + list(rec.state.q) + list(rec.state.p)
-                    + [rec.energy, report.work_cumulative[k], rec.hhat,
-                       rec.defect_direct, rec.defect_indirect, rec.singular])
-    return _csv(header, rows)
+    first = ([0, tr.t[0]] + list(tr.q[0]) + list(tr.p[0])
+             + [e0, 0.0, e0, None, None, False])
+    columns = [range(1, tr.n_steps + 1), tr.t[1:].tolist(), *tr.q[1:].T.tolist(),
+               *tr.p[1:].T.tolist(), tr.energy.tolist(),
+               report.work_cumulative[1:].tolist(), tr.hhat.tolist(),
+               [tr.defect_direct] * tr.n_steps, _indirect_defects(tr),
+               tr.singular.tolist()]
+    return _csv(header, [first, *zip(*columns)])
 
 
 def _defect_maxima(tr: Trajectory):
-    direct = max((r.defect_direct for r in tr.steps), default=None)
-    indirect = [r.defect_indirect for r in tr.steps if r.defect_indirect is not None]
-    return direct, (max(indirect) if indirect else None)
+    indirect = tr.defect_indirect[~tr.singular]
+    return tr.defect_direct, (float(indirect.max()) if indirect.size else None)
 
 
-def run_summary(cfg: RunConfig, tr: Trajectory, wall_time: float) -> dict:
-    report = energy_report(tr)
+def run_summary(cfg: RunConfig, tr: Trajectory, report: EnergyReport,
+                wall_time: float) -> dict:
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
     return {
         "label": cfg.label,
@@ -265,8 +271,9 @@ def cmd_run(cfg: RunConfig, prefix: str) -> int:
     path = _prepare_prefix(prefix)
     csv_path = path.with_name(path.name + ".trajectory.csv")
     json_path = path.with_name(path.name + ".summary.json")
-    _write_atomic(csv_path, trajectory_csv(tr))
-    summary = run_summary(cfg, tr, wall)
+    report = energy_report(tr)
+    _write_atomic(csv_path, trajectory_csv(tr, report))
+    summary = run_summary(cfg, tr, report, wall)
     summary["files"] = [str(csv_path), str(json_path)]
     _write_atomic(json_path, _json_text(summary))
     print(f"wrote {csv_path} and {json_path}")
@@ -299,19 +306,14 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
         header += [f"{name}_p_{i}" for i in range(n)]
         header += [f"{name}_E", f"{name}_hhat"]
     reports = {name: energy_report(tr) for name, tr in runs.items()}
-    rows = []
-    for k in range(cfg.n_steps + 1):
-        row = [k, cfg.initial.t + k * cfg.tau]
-        for name, tr in runs.items():
-            state = tr.initial if k == 0 else tr.steps[k - 1].state
-            rep = reports[name]
-            row += list(state.q) + list(state.p)
-            row += [float(rep.energy[k]), float(rep.hhat[k])]
-        rows.append(row)
+    steps = np.arange(cfg.n_steps + 1)
+    columns = [steps.tolist(), (cfg.initial.t + steps * cfg.tau).tolist()]
+    for name, tr in runs.items():
+        columns += [*tr.q.T.tolist(), *tr.p.T.tolist(), reports[name].energy.tolist(),
+                    reports[name].hhat.tolist()]
 
-    direct_states = np.hstack((runs["direct"].coordinates(), runs["direct"].momenta()))
-    indirect_states = np.hstack((runs["indirect"].coordinates(),
-                                 runs["indirect"].momenta()))
+    direct_states = np.hstack((runs["direct"].q, runs["direct"].p))
+    indirect_states = np.hstack((runs["indirect"].q, runs["indirect"].p))
     summary = {
         "label": cfg.label,
         "tau": cfg.tau,
@@ -328,7 +330,7 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
     path = _prepare_prefix(prefix)
     csv_path = path.with_name(path.name + ".compare.csv")
     json_path = path.with_name(path.name + ".compare.json")
-    _write_atomic(csv_path, _csv(header, rows))
+    _write_atomic(csv_path, _csv(header, zip(*columns)))
     summary["files"] = [str(csv_path), str(json_path)]
     _write_atomic(json_path, _json_text(summary))
     print(f"wrote {csv_path} and {json_path}")
@@ -368,17 +370,18 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
     m1, n1 = scheme_factors(sys_.K, sys_.C, cfg.tau)
     factor_direct = factored_symplectic_defect(m1, n1, form)
     czero = np.zeros_like(sys_.C)
+    singular = tr.singular.tolist()
     rows = []
-    for k, rec in enumerate(tr.steps, start=1):
+    for k, defect_indirect in enumerate(_indirect_defects(tr), start=1):
         factor_indirect = None
-        if not rec.singular:
-            m2, n2 = scheme_factors(sys_.K + np.diag(rec.ktilde.diag), czero, cfg.tau)
+        if not singular[k - 1]:
+            m2, n2 = scheme_factors(sys_.K + np.diag(tr.ktilde[k - 1]), czero, cfg.tau)
             factor_indirect = factored_symplectic_defect(m2, n2, form)
-        rows.append([k, rec.state.t, rec.defect_direct, rec.defect_indirect,
-                     factor_direct, factor_indirect, rec.singular])
+        rows.append([k, tr.t[k], tr.defect_direct, defect_indirect,
+                     factor_direct, factor_indirect, singular[k - 1]])
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
-    nonsingular = sum(1 for r in tr.steps if not r.singular)
+    nonsingular = singular.count(False)
 
     def verdict(max_defect, steps_seen):
         if steps_seen == 0:
@@ -386,7 +389,7 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         return "symplectic" if max_defect <= SYMPLECTIC_TOL else "unsymplectic"
 
     verdicts = {
-        "direct": verdict(defect_direct_max, len(tr.steps)),
+        "direct": verdict(defect_direct_max, tr.n_steps),
         "indirect": verdict(defect_indirect_max, nonsingular),
     }
     path = _prepare_prefix(prefix)
@@ -402,7 +405,7 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         "threshold": SYMPLECTIC_TOL,
         "defect_direct_max": defect_direct_max,
         "defect_indirect_max": defect_indirect_max,
-        "singular_steps": len(tr.steps) - nonsingular,
+        "singular_steps": tr.n_steps - nonsingular,
         "verdicts": verdicts,
         "files": [str(csv_path), str(json_path)],
     }))
@@ -481,7 +484,10 @@ def main(argv=None) -> int:
         sys.stderr.write(_error_object("io", str(exc),
                                         **({"path": str(path)} if path else {})))
         return EXIT_IO
-    except (IntegrationError, SingularMatrixError, ValueError) as exc:
+    except IntegrationError as exc:
+        sys.stderr.write(_error_object("solver", str(exc), step=exc.step_index))
+        return EXIT_SOLVER
+    except (SingularMatrixError, ValueError) as exc:
         sys.stderr.write(_error_object("solver", str(exc)))
         return EXIT_SOLVER
 

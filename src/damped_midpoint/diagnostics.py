@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InsufficientOscillationError
 from .integrators import Trajectory, propagate
 from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, analytic_1d, \
-    damping_work, total_energy
+    damping_work, quadratic_energy
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,13 @@ class EnergyReport:
 
 def energy_report(tr: Trajectory) -> EnergyReport:
     """Recompute the energy and work ledger of a trajectory from its states."""
-    sys = tr.system
-    states = tr.states()
-    energy = np.array([total_energy(sys, s) for s in states])
-    works = np.array([
-        damping_work(sys, states[k].q, states[k + 1].q, tr.tau)
-        for k in range(len(states) - 1)
-    ])
+    energy = quadratic_energy(tr.system.K, tr.q, tr.p)
+    works = damping_work(tr.system, tr.q[:-1], tr.q[1:], tr.tau)
     work_cumulative = np.concatenate(([0.0], np.cumsum(works)))
     hhat = energy + work_cumulative
     residuals = np.abs(np.diff(energy) + works)
     return EnergyReport(
-        t=tr.times(),
+        t=tr.t,
         energy=energy,
         work_cumulative=work_cumulative,
         hhat=hhat,
@@ -60,7 +55,7 @@ def energy_report(tr: Trajectory) -> EnergyReport:
         max_hhat_deviation=float(np.max(np.abs(hhat - energy[0]))),
         max_energy_residual=float(residuals.max()) if residuals.size else 0.0,
         monotone=bool(np.all(np.diff(energy) <= 0.0)),
-        singular_steps=sum(1 for r in tr.steps if r.singular),
+        singular_steps=int(np.count_nonzero(tr.singular)),
     )
 
 
@@ -73,8 +68,8 @@ def period_estimate(tr: Trajectory, component: int = 0) -> float:
     """
     if not 0 <= component < tr.system.n:
         raise IndexError(f"component {component} out of range for n={tr.system.n}")
-    t = tr.times()
-    x = tr.coordinates()[:, component]
+    t = tr.t
+    x = tr.q[:, component]
     below = x[:-1] < 0.0
     atorabove = x[1:] >= 0.0
     idx = np.flatnonzero(below & atorabove)

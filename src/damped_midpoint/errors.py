@@ -11,8 +11,12 @@ class SingularMatrixError(ArithmeticError):
     """Gaussian elimination hit a pivot below the conditioning threshold.
 
     Carries the offending pivot magnitude so callers can distinguish an
-    exactly singular matrix from a merely ill-conditioned one.
+    exactly singular matrix from a merely ill-conditioned one. ``index``
+    is the position of the failing matrix in a factored stack (0 for a
+    single matrix).
     """
+
+    index = 0
 
     def __init__(self, pivot: float, threshold: float):
         self.pivot = float(pivot)

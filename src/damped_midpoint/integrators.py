@@ -4,7 +4,7 @@ Three steppers share one interface: the time-centered (implicit midpoint)
 scheme applied directly to the damped system, the same scheme applied
 indirectly through the per-step substituting conservative system, and a
 classical Runge-Kutta 4 baseline. ``integrate`` drives any of them and
-records per-step energy/work ledgers and symplectic defects.
+records per-step energy/work ledgers and symplectic defects in arrays.
 
 The midpoint step solves the linear factor-pair system M·z' = N·z with
 
@@ -16,11 +16,17 @@ stiffness K + K̃ and zero damping yields the substituting scheme's pair.
 The M factor of the direct scheme is constant along a trajectory, so
 ``integrate`` factors it once and reuses the factorization; the indirect
 factor changes with K̃ every step.
+
+The substituting scheme's defect is a check that no later step depends
+on, so ``integrate`` defers it: the steps of one chunk are verified
+together in one stacked factor → solve → FᵀJF - J pass, whose items are
+bit for bit the per-step values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,32 +35,44 @@ from .errors import DimensionError, IntegrationError, InvalidStiffnessError, \
     SingularMatrixError
 from .symplectic import symplectic_form, symplectic_defect
 from .system import DEFAULT_EPSILON, DampedLinearSystem, EquivalentStiffness, \
-    PhaseState, _equivalent_stiffness_arrays, quadratic_energy
+    PhaseState, _equivalent_stiffness_arrays, damping_work, quadratic_energy
 
 METHODS = ("midpoint_direct", "midpoint_indirect", "rk4")
+
+#: Bytes of stacked 2n×2n matrices (factors, right-hand sides, transition
+#: matrices) one verification pass holds. Larger passes spread the
+#: interpreter overhead over more steps but raise peak memory.
+_VERIFY_BYTES = 256 * 1024
+
+
+def _verify_chunk(n: int) -> int:
+    """Steps per verification pass for n degrees of freedom."""
+    return max(1, _VERIFY_BYTES // (3 * 8 * (2 * n) ** 2))
 
 
 def scheme_factors(K, C, tau: float):
     """Factor pair (M, N) of the time-centered scheme M·z' = N·z.
 
     Exposed so the factor matrices themselves can be tested for symplectic
-    character without forming any inverse.
+    character without forming any inverse. A stack of stiffness matrices
+    (N, n, n) gives stacked pairs (N, 2n, 2n).
     """
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
-    n = K.shape[0]
+    n = K.shape[-1]
     half = 0.5 * tau
     idx = np.arange(n)
-    m = np.zeros((2 * n, 2 * n))
-    nn = np.zeros((2 * n, 2 * n))
-    m[idx, idx] = 1.0
-    m[n + idx, n + idx] = 1.0
-    m[idx, n + idx] = -half
-    m[n:, :n] = half * K + C
-    nn[idx, idx] = 1.0
-    nn[n + idx, n + idx] = 1.0
-    nn[idx, n + idx] = half
-    nn[n:, :n] = C - half * K
+    shape = np.broadcast_shapes(K.shape, C.shape)[:-2] + (2 * n, 2 * n)
+    m = np.zeros(shape)
+    nn = np.zeros(shape)
+    m[..., idx, idx] = 1.0
+    m[..., n + idx, n + idx] = 1.0
+    m[..., idx, n + idx] = -half
+    m[..., n:, :n] = half * K + C
+    nn[..., idx, idx] = 1.0
+    nn[..., n + idx, n + idx] = 1.0
+    nn[..., idx, n + idx] = half
+    nn[..., n:, :n] = C - half * K
     return m, nn
 
 
@@ -88,6 +106,38 @@ def _rk4_arrays(K, C, tau, q, p):
     sixth = tau / 6.0
     return (q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
             p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+
+def _step_kernel(K, C, tau, method, epsilon, direct):
+    """The one-step map z ↦ (z', ks) of ``method`` on the state z = (q, p).
+
+    ``direct`` is the direct scheme's ``(factorization, N)`` pair; RK4
+    ignores it. ``ks`` is None except for the indirect scheme, which
+    reports ``(diag, valid, substitute)``: the step's equivalent stiffness
+    and, when every component is valid, the substituting scheme's
+    ``(factorization, N)`` pair it stepped with (else None, and z' is the
+    probe).
+    """
+    n = K.shape[0]
+    if method == "rk4":
+        def step(z):
+            return np.concatenate(_rk4_arrays(K, C, tau, z[:n], z[n:])), None
+        return step
+    lu1, n1 = direct
+    if method == "midpoint_direct":
+        def step(z):
+            return linalg.lu_solve(lu1, n1 @ z), None
+        return step
+    czero = np.zeros_like(C)
+
+    def step(z):
+        probe = linalg.lu_solve(lu1, n1 @ z)
+        diag, valid = _equivalent_stiffness_arrays(C, z[:n], probe[:n], tau, epsilon)
+        if not valid.all():
+            return probe, (diag, valid, None)
+        lu2, n2 = _midpoint_solver(K + np.diag(diag), czero, tau)
+        return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
+    return step
 
 
 def _validate_step_args(sys: DampedLinearSystem, s: PhaseState, tau: float):
@@ -209,34 +259,100 @@ class StepRecord:
     ktilde: EquivalentStiffness
 
 
+def _read_only(a, dtype) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """An integration run: the system, step size, initial state, per-step
-    records and the method that produced them."""
+    """An integration run held as read-only arrays.
+
+    ``t``, ``q`` and ``p`` hold the n_steps + 1 samples, initial state
+    first. Entry k - 1 of each per-step array describes step k:
+    ``energy``, the dissipated ``work`` (Δq)ᵀC(Δq)/τ, the running ledger
+    ``hhat`` = energy + Σ work, the equivalent stiffness ``ktilde`` and
+    its validity mask ``valid`` (both (n_steps, n)), and
+    ``defect_indirect``, NaN on singular steps. ``defect_direct`` is the
+    direct transition matrix's defect, one value for the run. Writable
+    inputs are copied, so no caller can change a trajectory afterwards.
+    """
 
     system: DampedLinearSystem
     tau: float
-    initial: PhaseState
-    steps: tuple[StepRecord, ...]
     method: str
+    t: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    energy: np.ndarray
+    work: np.ndarray
+    hhat: np.ndarray
+    ktilde: np.ndarray
+    valid: np.ndarray
+    defect_direct: float
+    defect_indirect: np.ndarray
+
+    def __post_init__(self):
+        n = self.system.n
+        steps = len(self.t) - 1
+        shapes = {"t": (steps + 1,), "q": (steps + 1, n), "p": (steps + 1, n),
+                  "energy": (steps,), "work": (steps,), "hhat": (steps,),
+                  "ktilde": (steps, n), "valid": (steps, n), "defect_indirect": (steps,)}
+        for name, shape in shapes.items():
+            a = _read_only(getattr(self, name), bool if name == "valid" else float)
+            if a.shape != shape:
+                raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "defect_direct", float(self.defect_direct))
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return len(self.t) - 1
+
+    @property
+    def initial(self) -> PhaseState:
+        return PhaseState(self.t[0], self.q[0], self.p[0])
+
+    @property
+    def singular(self) -> np.ndarray:
+        """Per-step flag: some component of the step's K̃ was singular."""
+        return ~self.valid.all(axis=1)
+
+    @cached_property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """Per-step records, built from the arrays on first use."""
+        singular = self.singular.tolist()
+        return tuple(
+            StepRecord(
+                state=PhaseState(self.t[k + 1], self.q[k + 1], self.p[k + 1]),
+                energy=float(self.energy[k]),
+                work_increment=float(self.work[k]),
+                hhat=float(self.hhat[k]),
+                defect_direct=self.defect_direct,
+                defect_indirect=None if singular[k] else float(self.defect_indirect[k]),
+                singular=singular[k],
+                ktilde=EquivalentStiffness(diag=self.ktilde[k], valid=self.valid[k]),
+            )
+            for k in range(self.n_steps)
+        )
 
     def states(self) -> list[PhaseState]:
         """All states including the initial one, in time order."""
-        return [self.initial] + [r.state for r in self.steps]
+        return [PhaseState(t, q, p) for t, q, p in zip(self.t, self.q, self.p)]
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states()])
+        return self.t
 
     def coordinates(self) -> np.ndarray:
         """(n_steps + 1, n) array of coordinates, initial state first."""
-        return np.array([s.q for s in self.states()])
+        return self.q
 
     def momenta(self) -> np.ndarray:
-        return np.array([s.p for s in self.states()])
+        return self.p
 
 
 def _check_run_args(sys, z0, tau, n_steps, method):
@@ -249,77 +365,106 @@ def _check_run_args(sys, z0, tau, n_steps, method):
     return n_steps
 
 
+def _substituting_factors(K, tau, diags, steps):
+    """Stacked factorizations and N factors of the substituting schemes
+    with stiffness K + diag(d), one per row d of ``diags``; a singular
+    factor raises :class:`IntegrationError` at its entry of ``steps``."""
+    n = K.shape[0]
+    stiffness = np.zeros((len(diags), n, n))
+    stiffness[:, np.arange(n), np.arange(n)] = diags
+    m2, n2 = scheme_factors(K + stiffness, np.zeros_like(K), tau)
+    try:
+        return linalg.lu_factor(m2), n2
+    except SingularMatrixError as exc:
+        raise IntegrationError(int(steps[exc.index]), str(exc)) from exc
+
+
 def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
               method: str = "midpoint_direct",
               epsilon: float = DEFAULT_EPSILON) -> Trajectory:
     """Integrate ``n_steps`` steps and record the full per-step ledger.
 
-    Every record carries the end-of-step state, recomputable energy, the
-    dissipated work (Δq)ᵀC(Δq)/τ (same formula for every method, for
-    comparability), the running ledger ``hhat``, both symplectic defects
-    (the indirect one only on non-singular steps) and the step's
-    equivalent stiffness. Timestamps are t₀ + k·τ from integer k.
+    The trajectory holds the states, recomputable energy, the dissipated
+    work (Δq)ᵀC(Δq)/τ (same formula for every method, for comparability),
+    the running ledger ``hhat``, both symplectic defects (the indirect one
+    only on non-singular steps) and each step's equivalent stiffness.
+    Timestamps are t₀ + k·τ from integer k.
 
-    A stepper failure aborts with :class:`IntegrationError` carrying the
-    1-based failing step index.
+    The loop only steps. After each chunk of steps, sized so its stacked
+    2n×2n matrices fit ``_VERIFY_BYTES``, the chunk's states are checked
+    for finiteness and its substituting maps are verified in one stacked
+    pass; the indirect scheme stacks the factors its steps already
+    computed. A stepper failure, a non-finite state or a singular
+    verification factor aborts with :class:`IntegrationError` carrying
+    the lowest failing 1-based step index.
     """
     n_steps = _check_run_args(sys, z0, tau, n_steps, method)
     tau = float(tau)
     epsilon = float(epsilon)
-    K, C = sys.K, sys.C
-    czero = np.zeros_like(C)
-    form = symplectic_form(sys.n)
+    K, C, n = sys.K, sys.C, sys.n
+    form = symplectic_form(n)
     try:
-        lu1, n1 = _midpoint_solver(K, C, tau)
-        defect_direct = symplectic_defect(linalg.lu_solve(lu1, n1), form)
+        direct = _midpoint_solver(K, C, tau)
+        defect_direct = symplectic_defect(linalg.lu_solve(*direct), form)
     except SingularMatrixError as exc:
         raise IntegrationError(1, str(exc)) from exc
-    t0 = z0.t
-    q, p = z0.q, z0.p
-    cumulative_work = 0.0
-    records = []
-    for k in range(1, n_steps + 1):
-        try:
-            substitute = None
-            if method == "midpoint_direct":
-                q1, p1 = _midpoint_apply(lu1, n1, q, p)
-                diag, valid = _equivalent_stiffness_arrays(C, q, q1, tau, epsilon)
-            elif method == "rk4":
-                q1, p1 = _rk4_arrays(K, C, tau, q, p)
-                diag, valid = _equivalent_stiffness_arrays(C, q, q1, tau, epsilon)
-            else:
-                probe_q, probe_p = _midpoint_apply(lu1, n1, q, p)
-                diag, valid = _equivalent_stiffness_arrays(C, q, probe_q, tau, epsilon)
-                if valid.all():
-                    substitute = _midpoint_solver(K + np.diag(diag), czero, tau)
-                    q1, p1 = _midpoint_apply(*substitute, q, p)
-                else:
-                    q1, p1 = probe_q, probe_p
-            singular = not valid.all()
-            defect_indirect = None
-            if not singular:
-                if substitute is None:
-                    substitute = _midpoint_solver(K + np.diag(diag), czero, tau)
-                lu2, n2 = substitute
-                defect_indirect = symplectic_defect(linalg.lu_solve(lu2, n2), form)
-        except SingularMatrixError as exc:
-            raise IntegrationError(k, str(exc)) from exc
-        work = float((q1 - q) @ (C @ (q1 - q))) / tau
-        energy = quadratic_energy(K, q1, p1)
-        cumulative_work += work
-        records.append(StepRecord(
-            state=PhaseState(t0 + k * tau, q1, p1),
-            energy=energy,
-            work_increment=work,
-            hhat=energy + cumulative_work,
-            defect_direct=defect_direct,
-            defect_indirect=defect_indirect,
-            singular=singular,
-            ktilde=EquivalentStiffness(diag=diag, valid=valid),
-        ))
-        q, p = q1, p1
-    return Trajectory(system=sys, tau=tau, initial=z0, steps=tuple(records),
-                      method=method)
+    step = _step_kernel(K, C, tau, method, epsilon, direct)
+    z = np.empty((n_steps + 1, 2 * n))
+    z[0, :n], z[0, n:] = z0.q, z0.p
+    ktilde = np.zeros((n_steps, n))
+    valid = np.zeros((n_steps, n), dtype=bool)
+    defect_indirect = np.full(n_steps, np.nan)
+    chunk = _verify_chunk(n)
+    for lo in range(1, n_steps + 1, chunk):
+        hi = min(lo + chunk, n_steps + 1)
+        pending = []
+        failure = None
+        # Overflow past a blow-up is reported below as a non-finite state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for k in range(lo, hi):
+                    z[k], ks = step(z[k - 1])
+                    if ks is not None:
+                        ktilde[k - 1], valid[k - 1], substitute = ks
+                        if substitute is not None:
+                            pending.append((k, *substitute[0], substitute[1]))
+            except SingularMatrixError as exc:
+                hi, failure = k, IntegrationError(k, str(exc))
+        finite = np.isfinite(z[lo:hi]).all(axis=1)
+        if not finite.all():
+            hi = lo + int(np.argmin(finite))
+            failure = IntegrationError(hi, "state is not finite")
+        if method == "midpoint_indirect":
+            pending = [entry for entry in pending if entry[0] < hi]
+            steps = np.array([entry[0] for entry in pending], dtype=int)
+            if pending:
+                _, lus, perms, rhs = (np.array(part) for part in zip(*pending))
+                factorization = (lus, perms)
+        else:
+            ktilde[lo - 1:hi - 1], valid[lo - 1:hi - 1] = _equivalent_stiffness_arrays(
+                C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, epsilon)
+            steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
+            if steps.size:
+                factorization, rhs = _substituting_factors(K, tau, ktilde[steps - 1], steps)
+        if steps.size:
+            defect_indirect[steps - 1] = symplectic_defect(
+                linalg.lu_solve(factorization, rhs), form)
+        if failure is not None:
+            raise failure
+    z.setflags(write=False)
+    q, p = z[:, :n], z[:, n:]
+    energy = quadratic_energy(K, q[1:], p[1:])
+    work = damping_work(sys, q[:-1], q[1:], tau)
+    t = z0.t + np.arange(n_steps + 1) * tau
+    t[0] = z0.t
+    hhat = energy + np.cumsum(work)
+    # Frozen here, so the Trajectory keeps these arrays without copying.
+    for a in (t, energy, work, hhat, ktilde, valid, defect_indirect):
+        a.setflags(write=False)
+    return Trajectory(system=sys, tau=tau, method=method, t=t, q=q, p=p,
+                      energy=energy, work=work, hhat=hhat,
+                      ktilde=ktilde, valid=valid, defect_direct=defect_direct,
+                      defect_indirect=defect_indirect)
 
 
 def propagate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
@@ -329,33 +474,34 @@ def propagate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
 
     Record-free variant of :func:`integrate` for convergence ladders and
     reference solutions, where per-step diagnostics would dominate cost.
+    Finiteness is checked once, on the final state; only when that check
+    or a step fails is the run replayed step by step, so the
+    :class:`IntegrationError` names the first failing step.
     """
     n_steps = _check_run_args(sys, z0, tau, n_steps, method)
     tau = float(tau)
     epsilon = float(epsilon)
-    K, C = sys.K, sys.C
-    czero = np.zeros_like(C)
-    q, p = z0.q, z0.p
-    lu1 = n1 = None
+    direct = None
     if method != "rk4":
         try:
-            lu1, n1 = _midpoint_solver(K, C, tau)
+            direct = _midpoint_solver(sys.K, sys.C, tau)
         except SingularMatrixError as exc:
             raise IntegrationError(1, str(exc)) from exc
-    for k in range(1, n_steps + 1):
+    step = _step_kernel(sys.K, sys.C, tau, method, epsilon, direct)
+    start = np.concatenate((z0.q, z0.p))
+    z = start
+    failure = None
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            if method == "rk4":
-                q, p = _rk4_arrays(K, C, tau, q, p)
-            elif method == "midpoint_direct":
-                q, p = _midpoint_apply(lu1, n1, q, p)
-            else:
-                probe_q, probe_p = _midpoint_apply(lu1, n1, q, p)
-                diag, valid = _equivalent_stiffness_arrays(C, q, probe_q, tau, epsilon)
-                if valid.all():
-                    lu2, n2 = _midpoint_solver(K + np.diag(diag), czero, tau)
-                    q, p = _midpoint_apply(lu2, n2, q, p)
-                else:
-                    q, p = probe_q, probe_p
+            for k in range(1, n_steps + 1):
+                z = step(z)[0]
         except SingularMatrixError as exc:
-            raise IntegrationError(k, str(exc)) from exc
-    return PhaseState(z0.t + n_steps * tau, q, p)
+            failure = IntegrationError(k, str(exc))
+        if failure is None and np.isfinite(z).all():
+            return PhaseState(z0.t + n_steps * tau, z[:sys.n], z[sys.n:])
+        z = start
+        for k in range(1, failure.step_index if failure else n_steps + 1):
+            z = step(z)[0]
+            if not np.isfinite(z).all():
+                raise IntegrationError(k, "state is not finite")
+    raise failure

@@ -32,15 +32,16 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-def _validated_pair(mat, form):
+def _validated_pair(mat, form, stacked=False):
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim not in ((2, 3) if stacked else (2,)) or mat.shape[-1] != mat.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] % 2 != 0 or mat.shape[0] == 0:
-        raise DimensionError(f"expected even size 2n >= 2, got {mat.shape[0]}")
+    size = mat.shape[-1]
+    if size % 2 != 0 or size == 0:
+        raise DimensionError(f"expected even size 2n >= 2, got {size}")
     if form is None:
-        form = symplectic_form(mat.shape[0] // 2)
-    elif np.shape(form) != mat.shape:
+        form = symplectic_form(size // 2)
+    elif np.shape(form) != (size, size):
         raise DimensionError(
             f"form has shape {np.shape(form)}, matrix has shape {mat.shape}"
         )
@@ -53,10 +54,19 @@ def infinitesimal_symplectic_defect(b, form=None) -> float:
     return float(np.linalg.norm(j @ b + b.T @ j))
 
 
-def symplectic_defect(f, form=None) -> float:
-    """Frobenius norm of Fᵀ·J·F - J; zero iff F lies in Sp(2n)."""
-    f, j = _validated_pair(f, form)
-    return float(np.linalg.norm(f.T @ (j @ f) - j))
+def symplectic_defect(f, form=None):
+    """Frobenius norm of Fᵀ·J·F - J; zero iff F lies in Sp(2n).
+
+    ``f`` may also be a stack (N, 2n, 2n); the result is then an array of
+    N norms, each bit for bit the float the matrix gets on its own (the
+    products are per-matrix BLAS calls and each norm is one dot product,
+    as ``np.linalg.norm`` takes it).
+    """
+    f, j = _validated_pair(f, form, stacked=True)
+    d = np.matmul(f.swapaxes(-1, -2), np.matmul(j, f)) - j
+    flat = d.reshape(d.shape[:-2] + (-1,))
+    norm = np.sqrt(linalg.rowdot(flat, flat))
+    return float(norm) if f.ndim == 2 else norm
 
 
 def factored_symplectic_defect(a, b, form=None) -> float:

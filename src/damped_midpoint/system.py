@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidStiffnessError
-from .linalg import jacobi_eigenvalues
+from .linalg import jacobi_eigenvalues, rowdot
 
 #: Default relative guard below which the equivalent-stiffness quotient is
 #: treated as singular (midpoint coordinate sum too close to zero).
@@ -144,27 +144,37 @@ def _check_state(sys: DampedLinearSystem, s: PhaseState):
         raise DimensionError(f"state dimension {s.n} does not match system {sys.n}")
 
 
-def quadratic_energy(K: np.ndarray, q: np.ndarray, p: np.ndarray) -> float:
-    """Total mechanical energy ½ pᵀp + ½ qᵀKq from raw arrays."""
-    return 0.5 * float(p @ p) + 0.5 * float(q @ (K @ q))
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A·x for one vector or for each row of a stack, one BLAS product per row."""
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def quadratic_energy(K: np.ndarray, q: np.ndarray, p: np.ndarray):
+    """Total mechanical energy ½ pᵀp + ½ qᵀKq from raw arrays.
+
+    One state gives a scalar; (N, n) stacks of states give N energies, each
+    bit for bit the scalar of its row.
+    """
+    return 0.5 * rowdot(p, p) + 0.5 * rowdot(q, _matvec(K, q))
 
 
 def total_energy(sys: DampedLinearSystem, s: PhaseState) -> float:
     """Total mechanical energy ½ pᵀp + ½ qᵀKq of a state."""
     _check_state(sys, s)
-    return quadratic_energy(sys.K, s.q, s.p)
+    return float(quadratic_energy(sys.K, s.q, s.p))
 
 
 def damping_work(sys: DampedLinearSystem, q_from: np.ndarray, q_to: np.ndarray,
-                 tau: float) -> float:
+                 tau: float):
     """Energy dissipated over one step, (Δq)ᵀ·C·(Δq)/τ.
 
     Nonnegative whenever C + Cᵀ is positive semidefinite; the exact
     discrete energy identity of the midpoint scheme is
-    E_after - E_before = -damping_work.
+    E_after - E_before = -damping_work. Rows of (N, n) coordinate stacks
+    give the work of N steps.
     """
     dq = np.asarray(q_to, dtype=float) - np.asarray(q_from, dtype=float)
-    return float(dq @ (sys.C @ dq)) / float(tau)
+    return rowdot(dq, _matvec(sys.C, dq)) / float(tau)
 
 
 def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarray,
@@ -174,7 +184,7 @@ def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarra
     scale = np.maximum(np.maximum(np.abs(q_k1), np.abs(q_k)), _FLOOR)
     valid = np.abs(total) > epsilon * scale
     diag = np.zeros_like(total)
-    np.divide(2.0 * (C @ delta), tau * total, out=diag, where=valid)
+    np.divide(2.0 * _matvec(C, delta), tau * total, out=diag, where=valid)
     return diag, valid
 
 

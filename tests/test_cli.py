@@ -279,3 +279,18 @@ class TestCheckSymplectic:
         first = rows[1].split(",")
         assert float(first[4]) > 1e-6     # direct factor pair fails the check
         assert float(first[5]) <= 1e-12   # indirect factor pair passes
+
+
+def test_blow_up_reports_step(tmp_path, capsys):
+    config = tmp_path / "unstable.json"
+    config.write_text(json.dumps({
+        "system": {"K": [[1.0]], "C": [[-5.0]]},
+        "initial": {"q": [0.1], "p": [0.2]},
+        "tau": 0.5,
+        "n_steps": 5000,
+    }))
+    assert run_cli(["run", "--config", config, "--out", tmp_path / "x"]) == cli.EXIT_SOLVER
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "solver"
+    assert err["step"] == 296
+    assert "step 296" in err["message"]

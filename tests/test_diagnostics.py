@@ -11,18 +11,15 @@ def synthetic_trajectory(times, values):
     """Wrap a sampled scalar signal as a trajectory (diagnostics only read
     states, so ledger fields can be placeholders)."""
     sys_ = dm.make_system([[1.0]], [[0.0]])
-    initial = dm.PhaseState(times[0], [values[0]], [0.0])
-    steps = tuple(
-        dm.StepRecord(
-            state=dm.PhaseState(t, [x], [0.0]),
-            energy=0.0, work_increment=0.0, hhat=0.0,
-            defect_direct=0.0, defect_indirect=0.0, singular=False,
-            ktilde=dm.EquivalentStiffness(diag=[0.0], valid=[True]),
-        )
-        for t, x in zip(times[1:], values[1:])
+    steps = len(times) - 1
+    zeros = np.zeros(steps)
+    return dm.Trajectory(
+        system=sys_, tau=float(times[1] - times[0]), method="midpoint_direct",
+        t=times, q=np.reshape(values, (-1, 1)), p=np.zeros((steps + 1, 1)),
+        energy=zeros, work=zeros, hhat=zeros,
+        ktilde=np.zeros((steps, 1)), valid=np.ones((steps, 1), dtype=bool),
+        defect_direct=0.0, defect_indirect=zeros,
     )
-    return dm.Trajectory(system=sys_, tau=float(times[1] - times[0]),
-                         initial=initial, steps=steps, method="midpoint_direct")
 
 
 class TestEnergyReport:

@@ -1,10 +1,13 @@
 """Stepper contracts, transition matrices, trajectory assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import damped_midpoint as dm
-from damped_midpoint.errors import IntegrationError, InvalidStiffnessError
+from damped_midpoint import integrators
+from damped_midpoint.errors import DimensionError, IntegrationError, InvalidStiffnessError
 
 
 def closed_form_step(k, c, tau, q, p):
@@ -248,3 +251,97 @@ class TestIntegrate:
         assert tr.steps[0].defect_indirect is None
         direct = dm.integrate(sys_, z0, tau, 5, "midpoint_direct")
         assert np.array_equal(tr.steps[0].state.q, direct.steps[0].state.q)
+
+
+def seeded_system(n=16, seed=0):
+    """Seeded n-DOF system: SPD K and PSD C from integer Gram matrices."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, size=(n, n))
+    b = rng.integers(-1, 2, size=(n, n))
+    sys_ = dm.make_system((a @ a.T + n * np.eye(n)) / 64.0, (b @ b.T) / 512.0)
+    return sys_, dm.PhaseState(0.0, rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n))
+
+
+class TestTrajectoryArrays:
+    @pytest.mark.parametrize("system", ["paper_2d", "seeded_16d"])
+    @pytest.mark.parametrize("method", dm.METHODS)
+    def test_arrays_match_step_api_across_flushes(self, system, method, sys_2d, z0_2d):
+        sys_, z0 = (sys_2d, z0_2d) if system == "paper_2d" else seeded_system()
+        steps = integrators._verify_chunk(sys_.n) + 3
+        tr = dm.integrate(sys_, z0, 0.2, steps, method)
+        state = z0
+        for k in range(steps):
+            if method == "midpoint_indirect":
+                state, info = dm.midpoint_indirect_step(sys_, state, 0.2)
+                ks = info.ktilde
+            else:
+                step = dm.midpoint_direct_step if method == "midpoint_direct" else dm.rk4_step
+                following = step(sys_, state, 0.2)
+                ks = dm.equivalent_stiffness(sys_, state.q, following.q, 0.2)
+                assert tr.work[k] == dm.damping_work(sys_, state.q, following.q, 0.2)
+                state = following
+            assert np.array_equal(tr.q[k + 1], state.q)
+            assert np.array_equal(tr.p[k + 1], state.p)
+            assert tr.energy[k] == dm.total_energy(sys_, state)
+            assert np.array_equal(tr.ktilde[k], ks.diag)
+            assert ks.all_valid
+            assert tr.defect_indirect[k] == dm.transition_matrices(sys_, ks, 0.2).defect_indirect
+        assert tr.defect_direct == dm.transition_matrices(sys_, None, 0.2).defect_direct
+
+    def test_arrays_are_read_only(self, sys_1d, z0_1d):
+        tr = dm.integrate(sys_1d, z0_1d, 0.2, 5)
+        for name in ("t", "q", "p", "energy", "work", "hhat", "ktilde", "valid",
+                     "defect_indirect"):
+            with pytest.raises(ValueError):
+                getattr(tr, name)[0] = 0
+
+    @pytest.mark.parametrize("method", dm.METHODS)
+    def test_integrate_hands_arrays_over_uncopied(self, sys_1d, z0_1d, method, monkeypatch):
+        kept = []
+
+        def spy(a, dtype):
+            out = read_only(a, dtype)
+            kept.append(out is a)
+            return out
+        read_only = integrators._read_only
+        monkeypatch.setattr(integrators, "_read_only", spy)
+        tr = dm.integrate(sys_1d, z0_1d, 0.2, 5, method)
+        assert len(kept) == 9 and all(kept)
+        assert tr.q.base is tr.p.base
+
+    def test_constructor_copies_writable_inputs(self, sys_1d):
+        q = np.array([[1.0], [0.5]])
+        tr = dm.Trajectory(system=sys_1d, tau=0.1, method="midpoint_direct",
+                           t=[0.0, 0.1], q=q, p=np.zeros((2, 1)), energy=[0.0],
+                           work=[0.0], hhat=[0.0], ktilde=[[0.0]], valid=[[True]],
+                           defect_direct=0.0, defect_indirect=[0.0])
+        q[1, 0] = 9.0
+        assert tr.q[1, 0] == 0.5
+        with pytest.raises(DimensionError):
+            dm.Trajectory(system=sys_1d, tau=0.1, method="midpoint_direct",
+                          t=[0.0, 0.1], q=q, p=np.zeros((2, 1)), energy=[0.0, 0.0],
+                          work=[0.0], hhat=[0.0], ktilde=[[0.0]], valid=[[True]],
+                          defect_direct=0.0, defect_indirect=[0.0])
+
+
+class TestBlowUp:
+    """K = 1, C = -5 gains energy every step until the state overflows."""
+
+    @pytest.mark.parametrize("method", dm.METHODS)
+    def test_first_nonfinite_step_reported(self, method):
+        sys_ = dm.make_system([[1.0]], [[-5.0]])
+        z0 = dm.PhaseState(0.0, [0.1], [0.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="not finite") as err:
+                dm.integrate(sys_, z0, 0.5, 5000, method)
+            with pytest.raises(IntegrationError, match="not finite") as replayed:
+                dm.propagate(sys_, z0, 0.5, 5000, method)
+        k = err.value.step_index
+        assert replayed.value.step_index == k
+        with np.errstate(over="ignore", invalid="ignore"):  # energies overflow
+            last = dm.integrate(sys_, z0, 0.5, k - 1, method)
+        assert np.all(np.isfinite(last.q)) and np.all(np.isfinite(last.p))
+        with pytest.raises(IntegrationError) as exact:
+            dm.propagate(sys_, z0, 0.5, k, method)
+        assert exact.value.step_index == k

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from damped_midpoint import SingularMatrixError, jacobi_eigenvalues, solve
+from damped_midpoint import SingularMatrixError, jacobi_eigenvalues, lu_factor, lu_solve, \
+    solve
 from damped_midpoint.errors import DimensionError
+from damped_midpoint.linalg import rowdot
 
 
 def test_identity_returns_rhs():
@@ -87,3 +89,93 @@ def test_jacobi_diagonal_input():
 
 def test_jacobi_zero_matrix():
     assert np.array_equal(jacobi_eigenvalues(np.zeros((4, 4))), np.zeros(4))
+
+
+def reference_lu_factor(a, rtol=1e-13):
+    """Unbatched partial-pivoting LU, row by row (the reference for stacks)."""
+    lu = np.array(a, dtype=float)
+    n = lu.shape[0]
+    threshold = rtol * max(float(np.max(np.abs(lu))), np.finfo(float).tiny)
+    perm = np.arange(n)
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        pivot = abs(lu[piv, k])
+        if pivot <= threshold:
+            raise SingularMatrixError(pivot, threshold)
+        if piv != k:
+            lu[[k, piv]] = lu[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
+    return lu, perm
+
+
+def reference_lu_solve(factorization, b):
+    lu, perm = factorization
+    x = np.asarray(b, dtype=float)[perm]
+    for k in range(1, len(lu)):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in range(len(lu) - 1, -1, -1):
+        x[k] -= lu[k, k + 1:] @ x[k + 1:]
+        x[k] /= lu[k, k]
+    return x
+
+
+@pytest.mark.parametrize("m", [2, 4, 32])
+def test_stacked_lu_is_bitwise_per_matrix(m):
+    rng = np.random.default_rng(m)
+    a = rng.uniform(-1.0, 1.0, (7, m, m))
+    vectors = rng.uniform(-1.0, 1.0, (7, m))
+    matrices = rng.uniform(-1.0, 1.0, (7, m, 3))
+    factorization = lu_factor(a)
+    x = lu_solve(factorization, vectors)
+    xm = lu_solve(factorization, matrices)
+    for i in range(7):
+        ref = reference_lu_factor(a[i])
+        single = lu_factor(a[i])
+        for lu, perm in (single, (factorization[0][i], factorization[1][i])):
+            assert np.array_equal(lu, ref[0]) and np.array_equal(perm, ref[1])
+        for rhs, stacked in ((vectors[i], x[i]), (matrices[i], xm[i])):
+            expected = reference_lu_solve(ref, rhs)
+            assert np.array_equal(stacked, expected)
+            assert np.array_equal(lu_solve(single, rhs), expected)
+
+
+def test_stack_reports_first_singular_matrix():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1.0, 1.0, (5, 4, 4)) + 4.0 * np.eye(4)
+    a[2, 3] = a[2, 0] + a[2, 1]   # singular at the last column
+    a[4, :, 0] = 0.0              # singular at the first column, later in the stack
+    with pytest.raises(SingularMatrixError) as single:
+        lu_factor(a[2])
+    with pytest.raises(SingularMatrixError) as stacked:
+        lu_factor(a)
+    assert stacked.value.index == 2
+    assert stacked.value.pivot == single.value.pivot
+    assert stacked.value.threshold == single.value.threshold
+
+
+def test_stacked_rhs_shape_mismatch_rejected():
+    factorization = lu_factor(np.stack([np.eye(3)] * 2))
+    with pytest.raises(DimensionError):
+        lu_solve(factorization, np.ones((3, 3)))
+
+
+def test_empty_matrix_solves_to_empty():
+    lu, perm = lu_factor(np.zeros((0, 0)))
+    assert lu.shape == (0, 0) and perm.shape == (0,)
+    assert solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+    assert solve(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+    lus, perms = lu_factor(np.zeros((2, 0, 0)))
+    assert lus.shape == (2, 0, 0) and perms.shape == (2, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 1024])
+def test_rowdot_is_bitwise_per_row(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((5, m)) * 10.0 ** rng.integers(-8, 8, (5, m))
+    b = rng.standard_normal((5, m))
+    stacked = rowdot(a, b)
+    for i in range(5):
+        assert stacked[i] == a[i] @ b[i]
+        assert rowdot(a[i], b[i]) == a[i] @ b[i]
