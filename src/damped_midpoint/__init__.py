@@ -19,7 +19,7 @@ from .errors import (
     InvalidStiffnessError,
     SingularMatrixError,
 )
-from .linalg import jacobi_eigenvalues, lu_factor, lu_solve, solve
+from .linalg import lu_factor, lu_solve, solve
 from .symplectic import (
     SYMPLECTIC_TOL,
     cayley,
@@ -94,7 +94,6 @@ __all__ = [
     "factored_symplectic_defect",
     "infinitesimal_symplectic_defect",
     "integrate",
-    "jacobi_eigenvalues",
     "lu_factor",
     "lu_solve",
     "make_system",

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -63,8 +64,8 @@ class RunConfig:
             raise ConfigError(
                 f"method must be one of {list(METHODS)}, got {self.method!r}"
             )
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not self.epsilon > 0.0 or not np.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if self.initial.n != self.system.n:
             raise ConfigError(
                 f"initial condition has {self.initial.n} components, "
@@ -102,6 +103,26 @@ def _system_from_obj(obj, base: Path) -> DampedLinearSystem:
         raise ConfigError(f"invalid system definition: {exc}") from exc
 
 
+def _number(obj: dict, key: str, default=None) -> float:
+    """Field ``key`` of a config object as a finite float. JSON bools,
+    strings and other non-numbers are rejected, not coerced."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
+def _count(obj: dict, key: str) -> int:
+    """Field ``key`` of a config object as an int; floats and JSON bools
+    are rejected, not truncated."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse a JSON run configuration, resolving bundled names and overrides."""
     path = Path(path)
@@ -121,15 +142,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     init = raw["initial"]
     if not isinstance(init, dict) or "q" not in init or "p" not in init:
         raise ConfigError('initial must be {"q": [...], "p": [...]}')
+    t0 = _number(init, "t", 0.0)
     try:
-        initial = PhaseState(t=float(init.get("t", 0.0)), q=init["q"], p=init["p"])
-        tau = float(raw["tau"])
-        n_steps = int(raw["n_steps"])
-        epsilon = float(raw.get("epsilon", DEFAULT_EPSILON))
+        initial = PhaseState(t=t0, q=init["q"], p=init["p"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
+    tau = _number(raw, "tau")
+    n_steps = _count(raw, "n_steps")
+    epsilon = _number(raw, "epsilon", DEFAULT_EPSILON)
     if "horizon" in raw:
-        horizon = float(raw["horizon"])
+        horizon = _number(raw, "horizon")
         tol = 8.0 * np.finfo(float).eps * max(1.0, abs(horizon))
         if abs(tau * n_steps - horizon) > tol:
             raise ConfigError(
@@ -169,32 +191,50 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 # --- formatting and atomic output -----------------------------------------
 
-def _fmt(x) -> str:
-    """Fixed 17-significant-digit decimal rendering of a float."""
-    return format(float(x), ".17g")
-
-
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _fmt(x)
-
-
 def _write_atomic(path: Path, text: str):
+    """Write ``text`` to ``path`` through a temp file of a unique name in
+    the same directory, renamed over ``path``; a failed write removes the
+    temp file. The file gets the permissions a plain ``open`` gives."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _csv(header: list[str], rows) -> str:
+#: Rows per CSV formatting block. Formatting whole columns at once would
+#: hold every cell string of a long run at the same time (about 5 MiB
+#: more peak memory at 20 000 rows); one block's cells are freed before
+#: the next is formatted.
+_CSV_BLOCK_ROWS = 256
+
+
+def _cells(column) -> list[str]:
+    """One CSV column rendered as the kind of its first value that is not
+    None: ints (the step) by ``str``, bools as ``true``/``false``, floats
+    at 17 significant digits. None renders as an empty cell."""
+    kind = next((x for x in column if x is not None), None)
+    if isinstance(kind, bool):
+        return ["true" if x else "false" for x in column]
+    if isinstance(kind, (int, np.integer)):
+        return [str(x) for x in column]
+    return ["" if x is None else "%.17g" % x for x in column]
+
+
+def _csv(header: list[str], columns) -> str:
+    """CSV text of equal-length columns under ``header``, formatted a
+    block of rows at a time, column by column."""
     lines = [",".join(header)]
-    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        cells = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns]
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -224,14 +264,11 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"p_{i}" for i in range(n)]
               + ["E", "work_cum", "hhat", "defect_direct", "defect_indirect", "singular"])
     e0 = report.initial_energy
-    first = ([0, tr.t[0]] + list(tr.q[0]) + list(tr.p[0])
-             + [e0, 0.0, e0, None, None, False])
-    columns = [range(1, tr.n_steps + 1), tr.t[1:].tolist(), *tr.q[1:].T.tolist(),
-               *tr.p[1:].T.tolist(), tr.energy.tolist(),
-               report.work_cumulative[1:].tolist(), tr.hhat.tolist(),
-               [tr.defect_direct] * tr.n_steps, _indirect_defects(tr),
-               tr.singular.tolist()]
-    return _csv(header, [first, *zip(*columns)])
+    columns = [range(tr.n_steps + 1), tr.t.tolist(), *tr.q.T.tolist(), *tr.p.T.tolist(),
+               [e0, *tr.energy.tolist()], [0.0, *report.work_cumulative[1:].tolist()],
+               [e0, *tr.hhat.tolist()], [None] + [tr.defect_direct] * tr.n_steps,
+               [None, *_indirect_defects(tr)], [False, *tr.singular.tolist()]]
+    return _csv(header, columns)
 
 
 def _defect_maxima(tr: Trajectory):
@@ -330,7 +367,7 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
     path = _prepare_prefix(prefix)
     csv_path = path.with_name(path.name + ".compare.csv")
     json_path = path.with_name(path.name + ".compare.json")
-    _write_atomic(csv_path, _csv(header, zip(*columns)))
+    _write_atomic(csv_path, _csv(header, columns))
     summary["files"] = [str(csv_path), str(json_path)]
     _write_atomic(json_path, _json_text(summary))
     print(f"wrote {csv_path} and {json_path}")
@@ -342,11 +379,12 @@ def cmd_convergence(cfg: RunConfig, prefix: str, tau_max: float, levels: int,
     """Write the step-halving error ladder as CSV plus a JSON echo."""
     table = convergence_study(cfg.system, cfg.initial, tau_max, levels, t_final,
                               cfg.method, cfg.epsilon)
-    rows = [[row.tau, row.error, row.observed_order] for row in table.rows]
+    columns = [[getattr(row, name) for row in table.rows]
+               for name in ("tau", "error", "observed_order")]
     path = _prepare_prefix(prefix)
     csv_path = path.with_name(path.name + ".convergence.csv")
     json_path = path.with_name(path.name + ".convergence.json")
-    _write_atomic(csv_path, _csv(["tau", "error", "observed_order"], rows))
+    _write_atomic(csv_path, _csv(["tau", "error", "observed_order"], columns))
     _write_atomic(json_path, _json_text({
         "label": cfg.label,
         "method": cfg.method,
@@ -371,14 +409,13 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
     factor_direct = factored_symplectic_defect(m1, n1, form)
     czero = np.zeros_like(sys_.C)
     singular = tr.singular.tolist()
-    rows = []
-    for k, defect_indirect in enumerate(_indirect_defects(tr), start=1):
-        factor_indirect = None
-        if not singular[k - 1]:
-            m2, n2 = scheme_factors(sys_.K + np.diag(tr.ktilde[k - 1]), czero, cfg.tau)
-            factor_indirect = factored_symplectic_defect(m2, n2, form)
-        rows.append([k, tr.t[k], tr.defect_direct, defect_indirect,
-                     factor_direct, factor_indirect, singular[k - 1]])
+    factor_indirect = [None] * tr.n_steps
+    for k in np.flatnonzero(~tr.singular):
+        m2, n2 = scheme_factors(sys_.K + np.diag(tr.ktilde[k]), czero, cfg.tau)
+        factor_indirect[k] = factored_symplectic_defect(m2, n2, form)
+    columns = [range(1, tr.n_steps + 1), tr.t[1:].tolist(),
+               [tr.defect_direct] * tr.n_steps, _indirect_defects(tr),
+               [factor_direct] * tr.n_steps, factor_indirect, singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
     nonsingular = singular.count(False)
@@ -397,7 +434,7 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
     json_path = path.with_name(path.name + ".symplectic.json")
     _write_atomic(csv_path, _csv(
         ["step", "t", "defect_direct", "defect_indirect", "factor_defect_direct",
-         "factor_defect_indirect", "singular"], rows))
+         "factor_defect_indirect", "singular"], columns))
     _write_atomic(json_path, _json_text({
         "label": cfg.label,
         "method": cfg.method,

@@ -1,9 +1,8 @@
 """Dense linear algebra kernels for small real matrices.
 
 Everything here targets desk-scale problems (matrices up to a few tens of
-rows): LU factorization with partial pivoting for the implicit solves, and
-a cyclic Jacobi iteration for symmetric eigenvalues. No sparse or
-iterative machinery.
+rows): LU factorization with partial pivoting for the implicit solves. No
+sparse or iterative machinery.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ from .errors import DimensionError, SingularMatrixError
 PIVOT_RTOL = 1e-13
 
 _TINY = np.finfo(float).tiny
-
-
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 def rowdot(a: np.ndarray, b: np.ndarray):
@@ -41,10 +33,10 @@ def rowdot(a: np.ndarray, b: np.ndarray):
 def lu_factor(a, rtol: float = PIVOT_RTOL):
     """Factor ``a`` as P·A = L·U with partial pivoting.
 
-    ``a`` is one (m, m) matrix or a stack of N of them, (N, m, m); a single
-    matrix is the N = 1 case. Every operation of the elimination acts on
-    all matrices at once and is elementwise per matrix, so each factor is
-    bit for bit the one the matrix gets on its own.
+    ``a`` is one (m, m) matrix or a stack of N of them, (N, m, m). A stack
+    is eliminated all at once, one matrix by a row loop over its 2-D
+    array. Both do the same elementwise operations, so each factor in a
+    stack is bit for bit the one its matrix gets on its own.
 
     Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper
     triangles and ``perm`` is the row permutation, shaped like ``a``
@@ -57,27 +49,28 @@ def lu_factor(a, rtol: float = PIVOT_RTOL):
     if lu.ndim not in (2, 3) or lu.shape[-1] != lu.shape[-2]:
         raise DimensionError(
             f"expected a square matrix or a stack of them, got shape {lu.shape}")
+    if lu.ndim == 2:
+        return _lu_factor_one(lu, rtol)
     m = lu.shape[-1]
-    stack = lu if lu.ndim == 3 else lu[None]
-    threshold = rtol * np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), _TINY)
-    perm = np.tile(np.arange(m), (len(stack), 1))
+    threshold = rtol * np.maximum(np.abs(lu).max(axis=(1, 2), initial=0.0), _TINY)
+    perm = np.tile(np.arange(m), (len(lu), 1))
     # A matrix whose pivot fails is reported below, after its later
     # columns have divided by that pivot; those values are discarded.
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m):
-            offset = np.abs(stack[:, k:, k]).argmax(axis=1)
+            offset = np.abs(lu[:, k:, k]).argmax(axis=1)
             if np.count_nonzero(offset):
                 swap = np.flatnonzero(offset)
                 piv = offset[swap] + k
-                stack[swap, k], stack[swap, piv] = stack[swap, piv], stack[swap, k]
+                lu[swap, k], lu[swap, piv] = lu[swap, piv], lu[swap, k]
                 perm[swap, k], perm[swap, piv] = perm[swap, piv], perm[swap, k]
-            col = stack[:, k + 1 :, k]
-            col /= stack[:, k, k, None]
-            trailing = stack[:, k + 1 :, k + 1 :]
-            trailing -= col[:, :, None] * stack[:, k, None, k + 1 :]
+            col = lu[:, k + 1 :, k]
+            col /= lu[:, k, k, None]
+            trailing = lu[:, k + 1 :, k + 1 :]
+            trailing -= col[:, :, None] * lu[:, k, None, k + 1 :]
     # Row k of U is final once column k is eliminated, so its diagonal
     # holds the pivot each column met.
-    pivots = np.abs(np.diagonal(stack, axis1=1, axis2=2))
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
     failed = pivots <= threshold[:, None]
     if np.count_nonzero(failed):
         index = int(np.flatnonzero(failed.any(axis=1))[0])
@@ -85,7 +78,30 @@ def lu_factor(a, rtol: float = PIVOT_RTOL):
         error = SingularMatrixError(pivots[index, column], threshold[index])
         error.index = index
         raise error
-    return lu, perm if lu.ndim == 3 else perm[0]
+    return lu, perm
+
+
+def _lu_factor_one(lu: np.ndarray, rtol: float):
+    """``lu_factor`` of one (m, m) matrix, in place: the stacked kernel's
+    operations on a single item. The first pivot at or below the
+    threshold raises, with the value the stacked kernel reports."""
+    m = len(lu)
+    threshold = rtol * np.maximum(np.abs(lu).max(initial=0.0), _TINY)
+    perm = np.arange(m)
+    # A NaN entry makes the pivot test pass; as in a stack, what follows is silent.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            piv = k + int(np.abs(lu[k:, k]).argmax())
+            if piv != k:
+                lu[[k, piv]] = lu[[piv, k]]
+                perm[[k, piv]] = perm[[piv, k]]
+            pivot = abs(lu[k, k])
+            if pivot <= threshold:
+                raise SingularMatrixError(pivot, threshold)
+            col = lu[k + 1 :, k]
+            col /= lu[k, k]
+            lu[k + 1 :, k + 1 :] -= col[:, None] * lu[k, k + 1 :]
+    return lu, perm
 
 
 def lu_solve(factorization, b) -> np.ndarray:
@@ -94,7 +110,8 @@ def lu_solve(factorization, b) -> np.ndarray:
     For a stacked factorization ``b`` holds one right-hand side per
     matrix, (N, m) or (N, m, r). Substitution runs row by row over the
     whole stack; each row product is one dot (vector) or vector-matrix
-    product (matrix) per item, the same kernel a single solve calls.
+    product (matrix) per item, the same kernel a single solve calls. One
+    matrix with one vector takes a plain row loop of the same products.
     """
     lu, perm = factorization
     m = lu.shape[-1]
@@ -102,9 +119,11 @@ def lu_solve(factorization, b) -> np.ndarray:
     if b.shape[: lu.ndim - 1] != lu.shape[:-1] or b.ndim > lu.ndim:
         raise DimensionError(
             f"right-hand side has shape {b.shape}, factorization has {lu.shape}")
+    if b.ndim == 1:
+        return _lu_solve_vector(lu, perm, b)
     x = b[perm] if perm.ndim == 1 else b[np.arange(len(perm))[:, None], perm]
-    # ``rows[k]`` is row k of every item with the item axis last: a scalar
-    # or (r,) row for one matrix, an (N,) or (r, N) array for a stack.
+    # ``rows[k]`` is row k of every item with the item axis last: an (r,)
+    # row for one matrix, an (N,) or (r, N) array for a stack.
     if b.ndim < lu.ndim:
         rows = x.T
 
@@ -121,6 +140,22 @@ def lu_solve(factorization, b) -> np.ndarray:
     for k in range(m - 1, -1, -1):
         rows[k] -= product(k, k + 1, m)
         rows[k] /= diag[k, k]
+    return x
+
+
+def _lu_solve_vector(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lu_solve`` of one factorization and one vector, row by row. The
+    last row's empty product is skipped: x - 0.0 is bitwise x. Rows use
+    ``@``, the kernel of a stack's rows: ``np.dot`` of one-element rows
+    keeps a product's -0.0, where ``@`` returns +0.0."""
+    m = len(perm)
+    x = b[perm]
+    for k in range(1, m):
+        x[k] -= lu[k, :k] @ x[:k]
+    if m:
+        x[-1] /= lu[-1, -1]
+    for k in range(m - 2, -1, -1):
+        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
     return x
 
 
@@ -141,47 +176,3 @@ def solve(a, b, rtol: float = PIVOT_RTOL) -> np.ndarray:
         exception reports the pivot magnitude.
     """
     return lu_solve(lu_factor(a, rtol), b)
-
-
-def jacobi_eigenvalues(a, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending.
-
-    Sweeps rotate every off-diagonal pair per pass until the off-diagonal
-    Frobenius mass falls below ``tol`` relative to the matrix norm.
-    """
-    a = np.array(_as_square(a), dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(a * a) - np.sum(a.diagonal() ** 2)))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # entries that no longer perturb the diagonal are zeroed
-                # outright; rotating on them would overflow theta
-                g = 100.0 * abs(apq)
-                if abs(a[p, p]) + g == abs(a[p, p]) and abs(a[q, q]) + g == abs(a[q, q]):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return np.sort(a.diagonal())

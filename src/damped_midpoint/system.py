@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidStiffnessError
-from .linalg import jacobi_eigenvalues, rowdot
+from .linalg import rowdot
 
 #: Default relative guard below which the equivalent-stiffness quotient is
 #: treated as singular (midpoint coordinate sum too close to zero).
@@ -67,7 +67,7 @@ class DampedLinearSystem:
                 f"exceeds {_SYMMETRY_RTOL:.0e} relative"
             )
         sym = 0.5 * (c + c.T)
-        smallest = float(jacobi_eigenvalues(sym)[0])
+        smallest = float(np.linalg.eigvalsh(sym)[0])
         certified = smallest >= -_PSD_TOL * max(1.0, float(np.max(np.abs(sym))))
         object.__setattr__(self, "K", _frozen(k))
         object.__setattr__(self, "C", _frozen(c))

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, error contracts."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -156,6 +157,18 @@ class TestRun:
         assert run_cli(["run", "--config", bad,
                         "--out", tmp_path / "no"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("field", ['"n_steps": 2.7', '"n_steps": true',
+                                       '"tau": true', '"epsilon": 1e999',
+                                       '"horizon": "ten"'])
+    def test_config_values_not_coerced(self, tmp_path, capsys, field):
+        base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f"{base}, {field}}}")   # a repeated key overrides the base
+        rc = run_cli(["run", "--config", cfg, "--out", tmp_path / "x"])
+        assert rc == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # (τ/2)² K = -I makes the implicit factor exactly singular
         cfg = tmp_path / "singular.json"
@@ -169,6 +182,36 @@ class TestRun:
         assert rc == cli.EXIT_SOLVER
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "solver"
+
+
+class TestWriteAtomic:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        cli._write_atomic(target, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_atomic(target, "x" * 100_000 + "\ud800")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text() == "old\n"
+
+    def test_writes_to_one_path_use_distinct_temp_files(self, tmp_path, monkeypatch):
+        renamed = []
+        replace = os.replace
+
+        def recording_replace(src, dst):
+            renamed.append(src)
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", recording_replace)
+        cli._write_atomic(tmp_path / "out.csv", "a\n")
+        cli._write_atomic(tmp_path / "out.csv", "b\n")
+        assert len(set(renamed)) == 2
+        assert all(os.path.dirname(src) == str(tmp_path) for src in renamed)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_file_mode_is_that_of_a_plain_open(self, tmp_path):
+        (tmp_path / "plain").write_text("")
+        cli._write_atomic(tmp_path / "atomic", "")
+        assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 class TestCompare:

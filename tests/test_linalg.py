@@ -1,10 +1,9 @@
-"""Dense solve and Jacobi eigenvalue kernels."""
+"""Dense LU factor and solve kernels."""
 
 import numpy as np
 import pytest
 
-from damped_midpoint import SingularMatrixError, jacobi_eigenvalues, lu_factor, lu_solve, \
-    solve
+from damped_midpoint import SingularMatrixError, lu_factor, lu_solve, solve
 from damped_midpoint.errors import DimensionError
 from damped_midpoint.linalg import rowdot
 
@@ -72,25 +71,6 @@ def test_pivoting_handles_zero_leading_entry():
     assert np.allclose(solve(a, np.array([2.0, 3.0])), [3.0, 2.0])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
-def test_jacobi_matches_independent_eigensolver(n):
-    rng = np.random.default_rng(100 + n)
-    for _ in range(5):
-        s = rng.uniform(-1.0, 1.0, (n, n))
-        s = 0.5 * (s + s.T)
-        ours = jacobi_eigenvalues(s)
-        ref = np.linalg.eigvalsh(s)
-        assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_jacobi_diagonal_input():
-    assert np.allclose(jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1.0, 2.0, 3.0])
-
-
-def test_jacobi_zero_matrix():
-    assert np.array_equal(jacobi_eigenvalues(np.zeros((4, 4))), np.zeros(4))
-
-
 def reference_lu_factor(a, rtol=1e-13):
     """Unbatched partial-pivoting LU, row by row (the reference for stacks)."""
     lu = np.array(a, dtype=float)
@@ -150,7 +130,7 @@ def test_stack_reports_first_singular_matrix():
         lu_factor(a[2])
     with pytest.raises(SingularMatrixError) as stacked:
         lu_factor(a)
-    assert stacked.value.index == 2
+    assert (stacked.value.index, single.value.index) == (2, 0)
     assert stacked.value.pivot == single.value.pivot
     assert stacked.value.threshold == single.value.threshold
 

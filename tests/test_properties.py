@@ -1,12 +1,15 @@
 """Property tests of the paper's per-step invariants over random systems.
 
 Systems are drawn with SPD stiffness K = AAᵀ + sI, PSD damping C = BBᵀ,
-n ≤ 6 degrees of freedom and τ ∈ [1e-3, 1]. Runs are derandomized, so
-every run of the suite checks the same examples.
+n ≤ 6 degrees of freedom and τ ∈ [1e-3, 1]. The LU kernel's one-matrix
+path is checked against its stacked path on random square systems.
+Runs are derandomized, so every run of the suite checks the same
+examples.
 """
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -128,3 +131,40 @@ def test_verdict_split(run):
         ks = dm.EquivalentStiffness(diag=tr.ktilde[k], valid=tr.valid[k])
         scale = max(1.0, np.linalg.norm(dm.transition_matrices(sys_, ks, tau).indirect) ** 2)
         assert tr.defect_indirect[k] <= dm.SYMPLECTIC_TOL * scale
+
+
+# Exact zeros of both signs make singular matrices and signed-zero
+# products common; small integers make exact cancellation common.
+lu_entries = st.one_of(st.just(0.0), st.just(-0.0), st.integers(-4, 4).map(float),
+                       st.floats(-1e3, 1e3))
+
+
+@st.composite
+def systems(draw):
+    """(A, b) with A one m×m matrix, m ≤ 12."""
+    m = draw(st.integers(1, 12))
+    return (draw(hnp.arrays(float, (m, m), elements=lu_entries)),
+            draw(hnp.arrays(float, (m,), elements=lu_entries)))
+
+
+@property_settings
+@given(systems())
+def test_one_matrix_lu_is_the_stacked_kernel(system):
+    a, b = system
+    try:
+        stacked = dm.lu_factor(a[None])
+    except dm.SingularMatrixError as exc:
+        with pytest.raises(dm.SingularMatrixError) as single:
+            dm.lu_factor(a)
+        assert (single.value.pivot, single.value.threshold, single.value.index) == \
+            (exc.pivot, exc.threshold, 0)
+        return
+    lu, perm = dm.lu_factor(a)
+    assert lu.tobytes() == stacked[0][0].tobytes()
+    assert perm.tobytes() == stacked[1][0].tobytes()
+    # Pivots near the threshold of a matrix of tiny entries can overflow
+    # the solution; both paths then do the same arithmetic on infinities.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = dm.lu_solve((lu, perm), b)
+        expected = dm.lu_solve(stacked, b[None])[0]
+    assert x.tobytes() == expected.tobytes()

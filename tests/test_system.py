@@ -30,6 +30,26 @@ class TestConstruction:
         s = dm.make_system([[1.0]], [[-1.0]])
         assert not s.monotone_energy_certified
 
+    @pytest.mark.parametrize("damping, certified", [
+        ([[1.0, 1.0], [1.0, 1.0]], True),   # eigenvalues 0 and 2
+        ([[-1e-13]], True),                 # within the 1e-12 tolerance
+        ([[-1e-11]], False),
+        ([[0.0, 3.0], [-3.0, 0.0]], True),  # skew damping dissipates nothing
+    ])
+    def test_psd_certificate_at_boundary(self, damping, certified):
+        assert dm.make_system(np.eye(len(damping)), damping).monotone_energy_certified \
+            is certified
+
+    def test_random_indefinite_damping_uncertified(self):
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((6, 6))
+        sym = b @ b.T - np.median(np.linalg.eigvalsh(b @ b.T)) * np.eye(6)
+        skew = rng.standard_normal((6, 6))
+        c = sym + skew - skew.T
+        eigenvalues = np.linalg.eigvalsh(c + c.T)
+        assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+        assert not dm.make_system(np.eye(6), c).monotone_energy_certified
+
     def test_asymmetric_stiffness_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             dm.make_system([[1.0, 0.5], [0.0, 1.0]], np.zeros((2, 2)))
