@@ -97,8 +97,9 @@ def _system_from_obj(obj, base: Path) -> DampedLinearSystem:
         obj = _load_json(path)
     if not isinstance(obj, dict) or "K" not in obj or "C" not in obj:
         raise ConfigError('system must be {"label", "K", "C"} or a file path')
+    K, C = _numbers(obj, "K"), _numbers(obj, "C")
     try:
-        return DampedLinearSystem(K=obj["K"], C=obj["C"], label=str(obj.get("label", "")))
+        return DampedLinearSystem(K=K, C=C, label=str(obj.get("label", "")))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid system definition: {exc}") from exc
 
@@ -112,6 +113,23 @@ def _number(obj: dict, key: str, default=None) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _numbers(obj: dict, key: str) -> list:
+    """Field ``key`` of a config object, a list of JSON numbers or of such
+    lists; JSON bools, strings and nulls in it are rejected, not coerced.
+    Shapes are checked where the arrays are built."""
+    value = obj[key]
+    pending, ok = [value], isinstance(value, list)
+    while ok and pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            ok = isinstance(item, (int, float)) and not isinstance(item, bool)
+    if not ok:
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return value
 
 
 def _count(obj: dict, key: str) -> int:
@@ -143,8 +161,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(init, dict) or "q" not in init or "p" not in init:
         raise ConfigError('initial must be {"q": [...], "p": [...]}')
     t0 = _number(init, "t", 0.0)
+    q, p = _numbers(init, "q"), _numbers(init, "p")
     try:
-        initial = PhaseState(t=t0, q=init["q"], p=init["p"])
+        initial = PhaseState(t=t0, q=q, p=p)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     tau = _number(raw, "tau")

@@ -344,16 +344,6 @@ class Trajectory:
         """All states including the initial one, in time order."""
         return [PhaseState(t, q, p) for t, q, p in zip(self.t, self.q, self.p)]
 
-    def times(self) -> np.ndarray:
-        return self.t
-
-    def coordinates(self) -> np.ndarray:
-        """(n_steps + 1, n) array of coordinates, initial state first."""
-        return self.q
-
-    def momenta(self) -> np.ndarray:
-        return self.p
-
 
 def _check_run_args(sys, z0, tau, n_steps, method):
     _validate_step_args(sys, z0, tau)

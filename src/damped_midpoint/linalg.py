@@ -3,6 +3,17 @@
 Everything here targets desk-scale problems (matrices up to a few tens of
 rows): LU factorization with partial pivoting for the implicit solves. No
 sparse or iterative machinery.
+
+Small single problems run on Python floats, where numpy's per-call cost
+exceeds the arithmetic: the factor of one m×m matrix with 1 ≤ m ≤ 16, and
+the solve of one 2×2 factorization with one vector. Elementwise float
+operations (divide, multiply, subtract, abs, compare) round the same in
+Python as in numpy, so these paths are bit for bit the numpy loops (up
+to the sign of a NaN, which numpy itself does not fix). A BLAS dot of
+length 2 or more rounds by the CPU's kernel (a fused multiply-add chain
+on some, multiply then add on others), and Python has no fused
+multiply-add before 3.13, so every such dot stays in numpy: the solve's
+rows for m ≥ 3, and all stacks and matrix right-hand sides.
 """
 
 from __future__ import annotations
@@ -15,6 +26,11 @@ from .errors import DimensionError, SingularMatrixError
 PIVOT_RTOL = 1e-13
 
 _TINY = np.finfo(float).tiny
+
+# Largest m whose one-matrix factor runs on Python floats: the float loop
+# costs O(m³) interpreted operations, the numpy loop O(m) calls, and the
+# two cost about the same at m = 16.
+_FLOAT_FACTOR_MAX = 16
 
 
 def rowdot(a: np.ndarray, b: np.ndarray):
@@ -87,6 +103,11 @@ def _lu_factor_one(lu: np.ndarray, rtol: float):
     threshold raises, with the value the stacked kernel reports."""
     m = len(lu)
     threshold = rtol * np.maximum(np.abs(lu).max(initial=0.0), _TINY)
+    if 1 <= m <= _FLOAT_FACTOR_MAX:
+        try:
+            return _lu_factor_floats(lu.tolist(), threshold)
+        except ZeroDivisionError:
+            pass
     perm = np.arange(m)
     # A NaN entry makes the pivot test pass; as in a stack, what follows is silent.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -102,6 +123,45 @@ def _lu_factor_one(lu: np.ndarray, rtol: float):
             col /= lu[k, k]
             lu[k + 1 :, k + 1 :] -= col[:, None] * lu[k, k + 1 :]
     return lu, perm
+
+
+def _lu_factor_floats(rows: list, threshold):
+    """The row loop of ``_lu_factor_one`` on a list of float rows.
+
+    The pivot is the first maximal |·| of the column, or its first NaN,
+    as ``argmax`` picks it. Only the sign of a NaN made from two NaN
+    factors can differ from numpy's, whose multiply picks it by whether
+    the element falls in a vector loop or its scalar remainder. Python
+    raises ``ZeroDivisionError`` where numpy divides by a zero pivot,
+    which passes the test only against a NaN threshold; the caller then
+    reruns the numpy loop for its values.
+    """
+    m = len(rows)
+    limit = float(threshold)
+    perm = list(range(m))
+    for k in range(m):
+        piv, best = k, abs(rows[k][k])
+        if best == best:
+            for i in range(k + 1, m):
+                v = abs(rows[i][k])
+                if v > best:
+                    piv, best = i, v
+                elif v != v:
+                    piv = i
+                    break
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
+        u = rows[k]
+        pivot = abs(u[k])
+        if pivot <= limit:
+            raise SingularMatrixError(pivot, threshold)
+        d = u[k]
+        tail = u[k + 1 :]
+        for r in rows[k + 1 :]:
+            c = r[k] = r[k] / d
+            r[k + 1 :] = [x - c * y for x, y in zip(r[k + 1 :], tail)]
+    return np.array(rows), np.array(perm)
 
 
 def lu_solve(factorization, b) -> np.ndarray:
@@ -147,8 +207,22 @@ def _lu_solve_vector(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndar
     """``lu_solve`` of one factorization and one vector, row by row. The
     last row's empty product is skipped: x - 0.0 is bitwise x. Rows use
     ``@``, the kernel of a stack's rows: ``np.dot`` of one-element rows
-    keeps a product's -0.0, where ``@`` returns +0.0."""
+    keeps a product's -0.0, where ``@`` returns +0.0.
+
+    At m = 2 both products have one element and run on floats, as
+    ``0.0 + a * b`` to keep that +0.0. A zero pivot there (only a NaN
+    threshold lets one through) raises ``ZeroDivisionError`` in Python,
+    so that solve reruns the numpy loop for numpy's inf or NaN."""
     m = len(perm)
+    if m == 2:
+        (u00, u01), (l10, u11) = lu.tolist()
+        p0, p1 = perm.tolist()
+        rhs = b.tolist()
+        try:
+            x1 = (rhs[p1] - (0.0 + l10 * rhs[p0])) / u11
+            return np.array([(rhs[p0] - (0.0 + u01 * x1)) / u00, x1])
+        except ZeroDivisionError:
+            pass
     x = b[perm]
     for k in range(1, m):
         x[k] -= lu[k, :k] @ x[:k]

@@ -135,9 +135,6 @@ class EquivalentStiffness:
     def all_valid(self) -> bool:
         return bool(self.valid.all())
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
 
 def _check_state(sys: DampedLinearSystem, s: PhaseState):
     if s.n != sys.n:

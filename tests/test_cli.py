@@ -159,7 +159,11 @@ class TestRun:
 
     @pytest.mark.parametrize("field", ['"n_steps": 2.7', '"n_steps": true',
                                        '"tau": true', '"epsilon": 1e999',
-                                       '"horizon": "ten"'])
+                                       '"horizon": "ten"',
+                                       '"system": {"K": [[true]], "C": [[0.05]]}',
+                                       '"system": {"K": [[2.0]], "C": [["0.05"]]}',
+                                       '"initial": {"q": [true], "p": [0.2]}',
+                                       '"initial": {"q": [0.1], "p": ["1"]}'])
     def test_config_values_not_coerced(self, tmp_path, capsys, field):
         base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
         cfg = tmp_path / "bad.json"

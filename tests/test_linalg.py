@@ -150,6 +150,26 @@ def test_empty_matrix_solves_to_empty():
     assert lus.shape == (2, 0, 0) and perms.shape == (2, 0)
 
 
+@pytest.mark.parametrize("a", [
+    # A NaN entry makes the threshold NaN, so the zero pivot passes the
+    # test; Python floats raise ZeroDivisionError where numpy divides.
+    [[0.0, 0.0], [0.0, np.nan]],
+    # The first NaN of a column is its pivot, as argmax picks it.
+    [[1.0, 2.0, 3.0], [np.nan, 1.0, 1.0], [5.0, 1.0, 1.0]],
+])
+def test_nan_entries_factor_as_the_stack(a):
+    a = np.array(a)
+    lu, perm = lu_factor(a)
+    stacked = lu_factor(a[None])
+    assert np.array_equal(lu, stacked[0][0], equal_nan=True)
+    assert perm.tobytes() == stacked[1][0].tobytes()
+
+
+def test_zero_pivot_under_nan_threshold_solves_to_nan():
+    x = lu_solve(lu_factor(np.array([[0.0, 0.0], [0.0, np.nan]])), np.array([1.0, 2.0]))
+    assert x.shape == (2,) and np.isnan(x).all()
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 1024])
 def test_rowdot_is_bitwise_per_row(m):
     rng = np.random.default_rng(m)

@@ -141,8 +141,9 @@ lu_entries = st.one_of(st.just(0.0), st.just(-0.0), st.integers(-4, 4).map(float
 
 @st.composite
 def systems(draw):
-    """(A, b) with A one m×m matrix, m ≤ 12."""
-    m = draw(st.integers(1, 12))
+    """(A, b) with A one m×m matrix, m ≤ 20: both sides of the size at
+    which the one-matrix factor leaves Python floats for numpy."""
+    m = draw(st.integers(1, 20))
     return (draw(hnp.arrays(float, (m, m), elements=lu_entries)),
             draw(hnp.arrays(float, (m,), elements=lu_entries)))
 
@@ -166,5 +167,25 @@ def test_one_matrix_lu_is_the_stacked_kernel(system):
     # the solution; both paths then do the same arithmetic on infinities.
     with np.errstate(over="ignore", invalid="ignore"):
         x = dm.lu_solve((lu, perm), b)
+        expected = dm.lu_solve(stacked, b[None])[0]
+    assert x.tobytes() == expected.tobytes()
+
+
+@property_settings
+@given(hnp.arrays(float, (2, 2), elements=lu_entries),
+       hnp.arrays(float, (2,), elements=st.one_of(
+           lu_entries, st.sampled_from([np.inf, -np.inf, np.nan]))))
+@example(np.array([[2.0, -0.0], [-0.0, 3.0]]), np.array([-0.0, -0.0]))
+@example(np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([np.inf, np.nan]))
+@example(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([-np.inf, 0.0]))
+def test_two_by_two_vector_solve_is_the_stacked_kernel(a, b):
+    """The 2×2 solve runs on Python floats; signed zeros, infinities and
+    NaNs on the right-hand side must come out as the stack's bits."""
+    try:
+        stacked = dm.lu_factor(a[None])
+    except dm.SingularMatrixError:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = dm.lu_solve((stacked[0][0], stacked[1][0]), b)
         expected = dm.lu_solve(stacked, b[None])[0]
     assert x.tobytes() == expected.tobytes()
