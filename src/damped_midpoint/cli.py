@@ -32,7 +32,8 @@ from .diagnostics import EnergyReport, convergence_study, energy_report, \
     period_estimate
 from .errors import ConfigError, InsufficientOscillationError, IntegrationError, \
     SingularMatrixError
-from .integrators import METHODS, Trajectory, integrate, scheme_factors
+from .integrators import METHODS, Trajectory, _substituting_pairs, _verify_chunk, \
+    integrate, scheme_factors
 from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, symplectic_form
 from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState
 
@@ -270,10 +271,10 @@ def _prepare_prefix(prefix: str) -> Path:
 
 # --- artifact builders ------------------------------------------------------
 
-def _indirect_defects(tr: Trajectory) -> list:
-    """Per-step indirect defects, None on singular steps."""
-    return [None if singular else defect for singular, defect
-            in zip(tr.singular.tolist(), tr.defect_indirect.tolist())]
+def _nonsingular_only(tr: Trajectory, values) -> list:
+    """Per-step ``values`` as floats, None on singular steps."""
+    return [None if singular else value for singular, value
+            in zip(tr.singular.tolist(), values.tolist())]
 
 
 def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
@@ -286,7 +287,8 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     columns = [range(tr.n_steps + 1), tr.t.tolist(), *tr.q.T.tolist(), *tr.p.T.tolist(),
                [e0, *tr.energy.tolist()], [0.0, *report.work_cumulative[1:].tolist()],
                [e0, *tr.hhat.tolist()], [None] + [tr.defect_direct] * tr.n_steps,
-               [None, *_indirect_defects(tr)], [False, *tr.singular.tolist()]]
+               [None, *_nonsingular_only(tr, tr.defect_indirect)],
+               [False, *tr.singular.tolist()]]
     return _csv(header, columns)
 
 
@@ -426,15 +428,18 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
     form = symplectic_form(sys_.n)
     m1, n1 = scheme_factors(sys_.K, sys_.C, cfg.tau)
     factor_direct = factored_symplectic_defect(m1, n1, form)
-    czero = np.zeros_like(sys_.C)
+    pairs = _substituting_pairs(sys_.K, cfg.tau)
+    nonsingular_steps = np.flatnonzero(~tr.singular)
+    factor_indirect = np.full(tr.n_steps, np.nan)
+    chunk = _verify_chunk(sys_.n)
+    for lo in range(0, len(nonsingular_steps), chunk):
+        k = nonsingular_steps[lo:lo + chunk]
+        factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
     singular = tr.singular.tolist()
-    factor_indirect = [None] * tr.n_steps
-    for k in np.flatnonzero(~tr.singular):
-        m2, n2 = scheme_factors(sys_.K + np.diag(tr.ktilde[k]), czero, cfg.tau)
-        factor_indirect[k] = factored_symplectic_defect(m2, n2, form)
     columns = [range(1, tr.n_steps + 1), tr.t[1:].tolist(),
-               [tr.defect_direct] * tr.n_steps, _indirect_defects(tr),
-               [factor_direct] * tr.n_steps, factor_indirect, singular]
+               [tr.defect_direct] * tr.n_steps, _nonsingular_only(tr, tr.defect_indirect),
+               [factor_direct] * tr.n_steps, _nonsingular_only(tr, factor_indirect),
+               singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
     nonsingular = singular.count(False)

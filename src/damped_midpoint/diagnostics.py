@@ -7,6 +7,7 @@ checked across two independent code paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,16 @@ class ConvergenceTable:
     reference: str
 
 
+def _step_count(t_final: float, tau: float) -> int:
+    """round(t_final / tau), for a positive finite step and a finite ratio."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"step size {tau} is not positive and finite")
+    ratio = t_final / tau
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final / tau = {t_final} / {tau} is not finite")
+    return round(ratio)
+
+
 def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
                       levels: int, t_final: float, method: str = "midpoint_direct",
                       epsilon: float = DEFAULT_EPSILON) -> ConvergenceTable:
@@ -112,12 +123,19 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     levels = int(levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    if not math.isfinite(tau_max) or not math.isfinite(t_final):
+        raise ValueError(f"tau_max and t_final must be finite, got {tau_max} and {t_final}")
     if not tau_max > 0.0 or not t_final > 0.0:
         raise ValueError("tau_max and t_final must be positive")
-    taus = [tau_max / 2.0 ** i for i in range(levels)]
+    taus = []
+    for i in range(levels):
+        try:
+            taus.append(tau_max / 2.0 ** i)
+        except OverflowError:
+            raise ValueError(f"step size tau_max / 2**{i} is out of float range") from None
     counts = []
     for tau in taus:
-        steps = round(t_final / tau)
+        steps = _step_count(t_final, tau)
         if steps < 1 or abs(steps * tau - t_final) > 1e-9 * max(1.0, abs(t_final)):
             raise ValueError(
                 f"t_final={t_final} is not an exact multiple of tau={tau}"
@@ -132,7 +150,7 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
         reference = "closed-form underdamped solution"
     else:
         tau_ref = tau_max / 1024.0
-        final = propagate(sys, z0, tau_ref, round(t_final / tau_ref), "rk4", epsilon)
+        final = propagate(sys, z0, tau_ref, _step_count(t_final, tau_ref), "rk4", epsilon)
         ref = np.concatenate((final.q, final.p))
         reference = f"rk4 at tau={tau_ref!r}"
 

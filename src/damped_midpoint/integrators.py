@@ -17,6 +17,12 @@ The M factor of the direct scheme is constant along a trajectory, so
 ``integrate`` factors it once and reuses the factorization; the indirect
 factor changes with K̃ every step.
 
+K̃ is diagonal, so two substituting pairs of one run differ only in the n
+diagonal entries of their lower-left blocks. A run builds the pair with
+K̃ = 0 once, as a template, and each step copies it and writes those n
+entries, rounded as the full builder rounds them (see
+``_substituting_pairs``).
+
 The substituting scheme's defect is a check that no later step depends
 on, so ``integrate`` defers it: the steps of one chunk are verified
 together in one stacked factor → solve → FᵀJF - J pass, whose items are
@@ -76,6 +82,37 @@ def scheme_factors(K, C, tau: float):
     return m, nn
 
 
+def _substituting_pairs(K, tau: float):
+    """Builder of one run's substituting factor pairs.
+
+    The returned ``pairs(d)`` is ``scheme_factors(K + np.diag(d), 0, tau)``
+    bit for bit, for one K̃ diagonal d (n,) or a stack of them (N, n). It
+    copies the pair with K̃ = 0 and writes only the diagonal of the
+    lower-left blocks: s = (τ/2)·(K[i, i] + d[i]), stored as s + 0.0 in M
+    and 0.0 - s in N. The other entries of that block are the template's
+    (τ/2)·K + 0.0, which already turns a -0.0 into +0.0, as adding the
+    zero off-diagonal of diag(d) and the zero damping does.
+    """
+    n = K.shape[0]
+    m0, n0 = scheme_factors(K, np.zeros_like(K), tau)
+    half = 0.5 * tau
+    kdiag = np.diagonal(K)
+    # Entries (n + i, i) of a 2n×2n matrix, i < n, in its row-major ravel.
+    block_diag = slice(2 * n * n, None, 2 * n + 1)
+
+    def pairs(d):
+        s = half * (kdiag + d)
+        shape = s.shape[:-1] + m0.shape
+        m = np.empty(shape)
+        m[...] = m0
+        nn = np.empty(shape)
+        nn[...] = n0
+        m.reshape(shape[:-2] + (-1,))[..., block_diag] = s + 0.0
+        nn.reshape(shape[:-2] + (-1,))[..., block_diag] = 0.0 - s
+        return m, nn
+    return pairs
+
+
 def _midpoint_solver(K, C, tau):
     """Pre-factored solver for repeated steps of one midpoint scheme."""
     m, nn = scheme_factors(K, C, tau)
@@ -128,14 +165,15 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
         def step(z):
             return linalg.lu_solve(lu1, n1 @ z), None
         return step
-    czero = np.zeros_like(C)
+    pairs = _substituting_pairs(K, tau)
 
     def step(z):
         probe = linalg.lu_solve(lu1, n1 @ z)
         diag, valid = _equivalent_stiffness_arrays(C, z[:n], probe[:n], tau, epsilon)
         if not valid.all():
             return probe, (diag, valid, None)
-        lu2, n2 = _midpoint_solver(K + np.diag(diag), czero, tau)
+        m2, n2 = pairs(diag)
+        lu2 = linalg.lu_factor(m2)
         return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
     return step
 
@@ -186,8 +224,8 @@ def midpoint_indirect_step(sys: DampedLinearSystem, s: PhaseState, tau: float,
     ks = EquivalentStiffness(diag=diag, valid=valid)
     probe = PhaseState(s.t + tau, probe_q, probe_p)
     if ks.all_valid:
-        lu2, n2 = _midpoint_solver(sys.K + np.diag(diag), np.zeros_like(sys.C), tau)
-        q1, p1 = _midpoint_apply(lu2, n2, s.q, s.p)
+        m2, n2 = _substituting_pairs(sys.K, tau)(diag)
+        q1, p1 = _midpoint_apply(linalg.lu_factor(m2), n2, s.q, s.p)
         state = PhaseState(s.t + tau, q1, p1)
         return state, IndirectStepInfo(probe=probe, ktilde=ks, singular=False)
     return probe, IndirectStepInfo(probe=probe, ktilde=ks, singular=True)
@@ -234,8 +272,8 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
         )
     if not ks.all_valid:
         raise InvalidStiffnessError(np.flatnonzero(~ks.valid))
-    lu2, n2 = _midpoint_solver(sys.K + np.diag(ks.diag), np.zeros_like(sys.C), float(tau))
-    indirect = linalg.lu_solve(lu2, n2)
+    m2, n2 = _substituting_pairs(sys.K, float(tau))(ks.diag)
+    indirect = linalg.lu_solve(linalg.lu_factor(m2), n2)
     defect_indirect = symplectic_defect(indirect, form)
     return TransitionPair(direct, defect_direct, indirect, defect_indirect)
 
@@ -355,14 +393,11 @@ def _check_run_args(sys, z0, tau, n_steps, method):
     return n_steps
 
 
-def _substituting_factors(K, tau, diags, steps):
+def _substituting_factors(pairs, diags, steps):
     """Stacked factorizations and N factors of the substituting schemes
-    with stiffness K + diag(d), one per row d of ``diags``; a singular
-    factor raises :class:`IntegrationError` at its entry of ``steps``."""
-    n = K.shape[0]
-    stiffness = np.zeros((len(diags), n, n))
-    stiffness[:, np.arange(n), np.arange(n)] = diags
-    m2, n2 = scheme_factors(K + stiffness, np.zeros_like(K), tau)
+    ``pairs`` builds, one per row d of ``diags``; a singular factor raises
+    :class:`IntegrationError` at its entry of ``steps``."""
+    m2, n2 = pairs(diags)
     try:
         return linalg.lu_factor(m2), n2
     except SingularMatrixError as exc:
@@ -399,6 +434,8 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     except SingularMatrixError as exc:
         raise IntegrationError(1, str(exc)) from exc
     step = _step_kernel(K, C, tau, method, epsilon, direct)
+    if method != "midpoint_indirect":
+        pairs = _substituting_pairs(K, tau)
     z = np.empty((n_steps + 1, 2 * n))
     z[0, :n], z[0, n:] = z0.q, z0.p
     ktilde = np.zeros((n_steps, n))
@@ -435,7 +472,7 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
                 C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, epsilon)
             steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
             if steps.size:
-                factorization, rhs = _substituting_factors(K, tau, ktilde[steps - 1], steps)
+                factorization, rhs = _substituting_factors(pairs, ktilde[steps - 1], steps)
         if steps.size:
             defect_indirect[steps - 1] = symplectic_defect(
                 linalg.lu_solve(factorization, rhs), form)

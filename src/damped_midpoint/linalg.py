@@ -14,6 +14,13 @@ length 2 or more rounds by the CPU's kernel (a fused multiply-add chain
 on some, multiply then add on others), and Python has no fused
 multiply-add before 3.13, so every such dot stays in numpy: the solve's
 rows for m ≥ 3, and all stacks and matrix right-hand sides.
+
+The one-vector solve for m ≥ 3 takes each row product of two or more
+elements with ``ndarray.dot``, the cheapest numpy call into the BLAS dot.
+``.dot`` and ``@`` gave the same bits on every length of 2 or more under
+the SkylakeX, Haswell and Sandybridge OpenBLAS kernels. They differ at
+length 1, where ``.dot`` keeps the sign of a -0.0 product and ``@``
+returns +0.0, so one-element rows keep ``@``.
 """
 
 from __future__ import annotations
@@ -205,8 +212,10 @@ def lu_solve(factorization, b) -> np.ndarray:
 
 def _lu_solve_vector(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``lu_solve`` of one factorization and one vector, row by row. The
-    last row's empty product is skipped: x - 0.0 is bitwise x. Rows use
-    ``@``, the kernel of a stack's rows: ``np.dot`` of one-element rows
+    last row's empty product is skipped: x - 0.0 is bitwise x. Rows of
+    two or more elements call ``ndarray.dot``, which costs less per call
+    than ``@`` and reaches the same BLAS dot, the kernel of a stack's
+    rows. One-element rows keep ``@``: ``.dot`` of one-element vectors
     keeps a product's -0.0, where ``@`` returns +0.0.
 
     At m = 2 both products have one element and run on floats, as
@@ -225,11 +234,14 @@ def _lu_solve_vector(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndar
             pass
     x = b[perm]
     for k in range(1, m):
-        x[k] -= lu[k, :k] @ x[:k]
+        row = lu[k, :k]
+        x[k] -= row.dot(x[:k]) if k > 1 else row @ x[:k]
     if m:
         x[-1] /= lu[-1, -1]
     for k in range(m - 2, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
+        row = lu[k, k + 1 :]
+        dot = row.dot(x[k + 1 :]) if k < m - 2 else row @ x[k + 1 :]
+        x[k] = (x[k] - dot) / lu[k, k]
     return x
 
 

@@ -48,6 +48,16 @@ def _validated_pair(mat, form, stacked=False):
     return mat, np.asarray(form, dtype=float)
 
 
+def _frobenius(d):
+    """Frobenius norm of one matrix as a float, or of each matrix of a
+    stack as an array. Each norm is one dot product, as
+    ``np.linalg.norm`` takes it, and the products are per-matrix BLAS
+    calls, so an item of a stack is bit for bit its matrix on its own."""
+    flat = d.reshape(d.shape[:-2] + (-1,))
+    norm = np.sqrt(linalg.rowdot(flat, flat))
+    return float(norm) if d.ndim == 2 else norm
+
+
 def infinitesimal_symplectic_defect(b, form=None) -> float:
     """Frobenius norm of J·B + Bᵀ·J; zero iff B lies in sp(2n)."""
     b, j = _validated_pair(b, form)
@@ -58,29 +68,27 @@ def symplectic_defect(f, form=None):
     """Frobenius norm of Fᵀ·J·F - J; zero iff F lies in Sp(2n).
 
     ``f`` may also be a stack (N, 2n, 2n); the result is then an array of
-    N norms, each bit for bit the float the matrix gets on its own (the
-    products are per-matrix BLAS calls and each norm is one dot product,
-    as ``np.linalg.norm`` takes it).
+    N norms, each bit for bit the float the matrix gets on its own.
     """
     f, j = _validated_pair(f, form, stacked=True)
-    d = np.matmul(f.swapaxes(-1, -2), np.matmul(j, f)) - j
-    flat = d.reshape(d.shape[:-2] + (-1,))
-    norm = np.sqrt(linalg.rowdot(flat, flat))
-    return float(norm) if f.ndim == 2 else norm
+    return _frobenius(np.matmul(f.swapaxes(-1, -2), np.matmul(j, f)) - j)
 
 
-def factored_symplectic_defect(a, b, form=None) -> float:
+def factored_symplectic_defect(a, b, form=None):
     """Frobenius norm of A·J·Aᵀ - B·J·Bᵀ.
 
     A vanishing value certifies A⁻¹·B symplectic without ever forming the
     inverse, which is how the implicit-scheme transition matrices are
-    classified from their factor pairs.
+    classified from their factor pairs. ``a`` and ``b`` may also be stacks
+    (N, 2n, 2n); the result is then an array of N norms, each bit for bit
+    the float its pair gets on its own.
     """
-    a, j = _validated_pair(a, form)
-    b, _ = _validated_pair(b, j)
+    a, j = _validated_pair(a, form, stacked=True)
+    b, _ = _validated_pair(b, j, stacked=True)
     if b.shape != a.shape:
         raise DimensionError(f"factor shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a @ j @ a.T - b @ j @ b.T))
+    return _frobenius(np.matmul(np.matmul(a, j), a.swapaxes(-1, -2))
+                      - np.matmul(np.matmul(b, j), b.swapaxes(-1, -2)))
 
 
 def cayley(b) -> np.ndarray:

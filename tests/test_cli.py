@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import damped_midpoint.cli as cli
+from damped_midpoint import factored_symplectic_defect, integrate, scheme_factors
 from damped_midpoint.cli import bundled_config_path, config_to_dict, load_config
+from damped_midpoint.integrators import _verify_chunk
 
 
 def run_cli(args):
@@ -282,6 +284,19 @@ class TestConvergence:
                       "--levels", 2, "--t-final", 10.0])
         assert rc == cli.EXIT_SOLVER
 
+    @pytest.mark.parametrize("config, extra", [
+        ("paper_1d", ["--t-final", "inf"]),
+        ("paper_1d", ["--t-final", 1e300, "--tau-max", 1e-10]),
+        ("paper_1d", ["--levels", 1100]),
+        # Only the RK4 reference step, tau_max / 1024, overflows the count.
+        ("paper_2d", ["--t-final", 1e306, "--levels", 1]),
+    ])
+    def test_overflowing_ladder_rejected(self, tmp_path, capsys, config, extra):
+        rc = run_cli(["convergence", "--config", config,
+                      "--out", tmp_path / "conv", *extra])
+        assert rc == cli.EXIT_SOLVER
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "solver"
+
 
 class TestCheckSymplectic:
     def test_paper_1d_verdicts(self, tmp_path, capsys):
@@ -326,6 +341,24 @@ class TestCheckSymplectic:
         first = rows[1].split(",")
         assert float(first[4]) > 1e-6     # direct factor pair fails the check
         assert float(first[5]) <= 1e-12   # indirect factor pair passes
+
+    def test_stacked_factor_defects_are_the_per_step_values(self, tmp_path):
+        # More steps than one stacked pass holds, and singular steps.
+        steps = _verify_chunk(2) + 20
+        assert run_cli(["check-symplectic", "--config", "paper_2d", "--out", tmp_path / "sym",
+                        "--steps", steps, "--epsilon", 0.3]) == 0
+        cfg = load_config(bundled_config_path("paper_2d"))
+        tr = integrate(cfg.system, cfg.initial, cfg.tau, steps, cfg.method, 0.3)
+        assert 0 < np.count_nonzero(tr.singular) < steps
+        rows = (tmp_path / "sym.symplectic.csv").read_text().splitlines()[1:]
+        for k, row in enumerate(rows):
+            cell = row.split(",")[5]
+            if tr.singular[k]:
+                assert cell == ""
+            else:
+                pair = scheme_factors(cfg.system.K + np.diag(tr.ktilde[k]),
+                                      np.zeros((2, 2)), cfg.tau)
+                assert cell == "%.17g" % factored_symplectic_defect(*pair)
 
 
 def test_blow_up_reports_step(tmp_path, capsys):

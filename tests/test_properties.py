@@ -2,7 +2,8 @@
 
 Systems are drawn with SPD stiffness K = AAᵀ + sI, PSD damping C = BBᵀ,
 n ≤ 6 degrees of freedom and τ ∈ [1e-3, 1]. The LU kernel's one-matrix
-path is checked against its stacked path on random square systems.
+path is checked against its stacked path on random square systems, and
+the substituting-pair builder against ``scheme_factors``.
 Runs are derandomized, so every run of the suite checks the same
 examples.
 """
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import damped_midpoint as dm
+from damped_midpoint import integrators
 
 STEPS = 12
 
@@ -171,16 +173,38 @@ def test_one_matrix_lu_is_the_stacked_kernel(system):
     assert x.tobytes() == expected.tobytes()
 
 
+@st.composite
+def vector_solves(draw):
+    """(A, b) with A one m×m matrix, m ≤ 33, a third of its entries ±0.0,
+    and b with ±0.0, ±inf and NaN entries. A is drawn from a seed: hypothesis
+    would fill most entries of a large array with one value."""
+    m = draw(st.one_of(st.sampled_from([1, 3, 32, 33]), st.integers(1, 33)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-2.0, 2.0, (m, m))
+    zeros = rng.random((m, m)) < 1 / 3
+    a[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+    b = draw(hnp.arrays(float, (m,), elements=st.one_of(
+        lu_entries, st.sampled_from([np.inf, -np.inf, np.nan]))))
+    return a, b
+
+
 @property_settings
-@given(hnp.arrays(float, (2, 2), elements=lu_entries),
-       hnp.arrays(float, (2,), elements=st.one_of(
-           lu_entries, st.sampled_from([np.inf, -np.inf, np.nan]))))
-@example(np.array([[2.0, -0.0], [-0.0, 3.0]]), np.array([-0.0, -0.0]))
-@example(np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([np.inf, np.nan]))
-@example(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([-np.inf, 0.0]))
-def test_two_by_two_vector_solve_is_the_stacked_kernel(a, b):
-    """The 2×2 solve runs on Python floats; signed zeros, infinities and
-    NaNs on the right-hand side must come out as the stack's bits."""
+@given(vector_solves())
+@example((np.array([[2.0, -0.0], [-0.0, 3.0]]), np.array([-0.0, -0.0])))
+@example((np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([np.inf, np.nan])))
+@example((np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([-np.inf, 0.0])))
+# -0.0 less a -0.0 product, in the forward and in the back substitution:
+# the result's sign tells ``@`` (+0.0 product) from ``.dot`` (-0.0).
+@example((np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 4.0]]),
+          np.array([-0.0, -0.0, 1.0])))
+@example((np.array([[2.0, 0.0, 0.0], [0.0, 3.0, -1.5], [0.0, 0.0, 4.0]]),
+          np.array([1.0, -0.0, 0.0])))
+def test_vector_solve_is_the_stacked_kernel(system):
+    """The one-vector solve runs on Python floats at m = 2, and through
+    ``@`` (one-element rows) or ``ndarray.dot`` (longer rows) above it;
+    signed zeros, infinities and NaNs on the right-hand side must come
+    out as the stack's bits. m = 32 is the size of a 16-DOF system."""
+    a, b = system
     try:
         stacked = dm.lu_factor(a[None])
     except dm.SingularMatrixError:
@@ -189,3 +213,28 @@ def test_two_by_two_vector_solve_is_the_stacked_kernel(a, b):
         x = dm.lu_solve((stacked[0][0], stacked[1][0]), b)
         expected = dm.lu_solve(stacked, b[None])[0]
     assert x.tobytes() == expected.tobytes()
+
+
+@st.composite
+def substituting_stiffness(draw):
+    """(K, a stack of K̃ diagonals, τ) with n ≤ 6 and entries ±0.0 often."""
+    n = draw(st.integers(1, 6))
+    K = draw(hnp.arrays(float, (n, n), elements=lu_entries))
+    diags = draw(hnp.arrays(float, (draw(st.integers(1, 4)), n), elements=lu_entries))
+    return K, diags, draw(st.floats(1e-3, 1.0))
+
+
+@property_settings
+@given(substituting_stiffness())
+@example((np.array([[-0.0, -0.0], [0.0, -0.0]]), np.array([[-0.0, 0.0], [0.0, -0.0]]), 0.5))
+def test_substituting_pairs_are_the_full_builder(case):
+    K, diags, tau = case
+    pairs = integrators._substituting_pairs(K, tau)
+    expected = [dm.scheme_factors(K + np.diag(d), np.zeros_like(K), tau) for d in diags]
+    for d, (m, nn) in zip(diags, expected):
+        got_m, got_n = pairs(d)
+        assert got_m.tobytes() == m.tobytes() and got_n.tobytes() == nn.tobytes()
+    got_m, got_n = pairs(diags)
+    assert got_m.shape == (len(diags),) + expected[0][0].shape
+    assert got_m.tobytes() == np.array([m for m, _ in expected]).tobytes()
+    assert got_n.tobytes() == np.array([nn for _, nn in expected]).tobytes()

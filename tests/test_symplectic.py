@@ -8,6 +8,7 @@ from damped_midpoint import (
     cayley,
     factored_symplectic_defect,
     infinitesimal_symplectic_defect,
+    scheme_factors,
     symplectic_defect,
     symplectic_form,
 )
@@ -146,3 +147,21 @@ class TestFactoredDefect:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             factored_symplectic_defect(np.eye(4), np.eye(2))
+        with pytest.raises(DimensionError):
+            factored_symplectic_defect(np.eye(4)[None], np.eye(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_stack_is_bitwise_per_pair(self, n):
+        rng = np.random.default_rng(n)
+        # Random pairs, and substituting-scheme pairs, whose defects are
+        # round-off left after cancellation.
+        a = rng.uniform(-1.0, 1.0, (6, 2 * n, 2 * n))
+        b = rng.uniform(-1.0, 1.0, (6, 2 * n, 2 * n))
+        stiffness = rng.uniform(-1.0, 1.0, (6, n, n)) + 4.0 * np.eye(n)
+        m, nn = scheme_factors(stiffness, np.zeros((n, n)), 0.3)
+        for x, y in ((a, b), (m, nn)):
+            stacked = factored_symplectic_defect(x, y)
+            singles = [factored_symplectic_defect(x[i], y[i]) for i in range(6)]
+            assert all(type(value) is float for value in singles)
+            assert stacked.shape == (6,)
+            assert stacked.tobytes() == np.array(singles).tobytes()
