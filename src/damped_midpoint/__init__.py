@@ -19,12 +19,13 @@ from .errors import (
     InvalidStiffnessError,
     SingularMatrixError,
 )
-from .linalg import lu_factor, lu_solve, solve
+from .linalg import lu_factor, lu_solve, lu_solver, solve
 from .symplectic import (
     SYMPLECTIC_TOL,
     cayley,
     factored_symplectic_defect,
     infinitesimal_symplectic_defect,
+    scaled_verdict,
     symplectic_defect,
     symplectic_form,
 )
@@ -96,12 +97,14 @@ __all__ = [
     "integrate",
     "lu_factor",
     "lu_solve",
+    "lu_solver",
     "make_system",
     "midpoint_direct_step",
     "midpoint_indirect_step",
     "period_estimate",
     "propagate",
     "rk4_step",
+    "scaled_verdict",
     "scheme_factors",
     "solve",
     "substituting_system",

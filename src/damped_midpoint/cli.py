@@ -34,7 +34,8 @@ from .errors import ConfigError, InsufficientOscillationError, IntegrationError,
     SingularMatrixError
 from .integrators import METHODS, Trajectory, _substituting_pairs, _verify_chunk, \
     integrate, scheme_factors
-from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, symplectic_form
+from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, scaled_verdict, \
+    symplectic_form
 from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState
 
 EXIT_OK = 0
@@ -421,7 +422,9 @@ def cmd_convergence(cfg: RunConfig, prefix: str, tau_max: float, levels: int,
 
 def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
     """Per-step symplectic defects of both transition-matrix families,
-    their factor-pair defects, and a verdict line per family."""
+    their factor-pair defects, and a verdict line per family. Each family
+    is judged by :func:`scaled_verdict`: every defect of a matrix F at
+    most ``SYMPLECTIC_TOL · max(1, ‖F‖_F²)``."""
     tr = integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, cfg.method,
                    cfg.epsilon)
     sys_ = cfg.system
@@ -443,16 +446,14 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
     nonsingular = singular.count(False)
-
-    def verdict(max_defect, steps_seen):
-        if steps_seen == 0:
-            return "insufficient data"
-        return "symplectic" if max_defect <= SYMPLECTIC_TOL else "unsymplectic"
-
-    verdicts = {
-        "direct": verdict(defect_direct_max, tr.n_steps),
-        "indirect": verdict(defect_indirect_max, nonsingular),
-    }
+    direct = scaled_verdict([tr.defect_direct], [tr.norm2_direct])
+    indirect = scaled_verdict(tr.defect_indirect[nonsingular_steps],
+                              tr.norm2_indirect[nonsingular_steps])
+    verdicts = {"direct": direct[0], "indirect": indirect[0]}
+    # The direct family is one matrix for every step, first met at step 1.
+    worst = {"direct": {"ratio": direct[1], "step": 1},
+             "indirect": {"ratio": indirect[1], "step": None if indirect[2] is None
+                          else int(nonsingular_steps[indirect[2]]) + 1}}
     path = _prepare_prefix(prefix)
     csv_path = path.with_name(path.name + ".symplectic.csv")
     json_path = path.with_name(path.name + ".symplectic.json")
@@ -464,6 +465,8 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         "method": cfg.method,
         "tau": cfg.tau,
         "threshold": SYMPLECTIC_TOL,
+        "verdict_rule": "defect <= threshold * max(1, ||F||_F^2) at every step",
+        "max_scaled_defect": worst,
         "defect_direct_max": defect_direct_max,
         "defect_indirect_max": defect_indirect_max,
         "singular_steps": tr.n_steps - nonsingular,

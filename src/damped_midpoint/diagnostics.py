@@ -83,6 +83,12 @@ def period_estimate(tr: Trajectory, component: int = 0) -> float:
     return float(np.mean(np.diff(crossings)))
 
 
+#: Most steps one convergence study may take, ladder and RK4 reference
+#: together; 10⁸ direct midpoint steps of a scalar system take minutes.
+#: A larger study is refused before any stepping.
+MAX_STUDY_STEPS = 10 ** 8
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     tau: float
@@ -118,7 +124,8 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     reference is the closed-form underdamped solution for scalar systems,
     otherwise a Runge-Kutta run at tau_max/1024. Errors are max-norm over
     the stacked (q, p) vector; observed orders are log₂ of successive
-    error ratios.
+    error ratios. A study whose ladder and reference steps add up to more
+    than ``MAX_STUDY_STEPS`` raises ``ValueError`` before any stepping.
     """
     levels = int(levels)
     if levels < 1:
@@ -144,13 +151,18 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
 
     k = float(sys.K[0, 0]) if sys.n == 1 else 0.0
     c = float(sys.C[0, 0]) if sys.n == 1 else 0.0
-    if sys.n == 1 and c >= 0.0 and c * c < 4.0 * k:
+    closed_form = sys.n == 1 and c >= 0.0 and c * c < 4.0 * k
+    tau_ref = tau_max / 1024.0
+    ref_steps = 0 if closed_form else _step_count(t_final, tau_ref)
+    if sum(counts) + ref_steps > MAX_STUDY_STEPS:
+        raise ValueError(f"the study takes {sum(counts) + ref_steps} steps, "
+                         f"more than MAX_STUDY_STEPS = {MAX_STUDY_STEPS}")
+    if closed_form:
         q_ref, p_ref = analytic_1d(k, c, float(z0.q[0]), float(z0.p[0]), t_final)
         ref = np.array([q_ref, p_ref])
         reference = "closed-form underdamped solution"
     else:
-        tau_ref = tau_max / 1024.0
-        final = propagate(sys, z0, tau_ref, _step_count(t_final, tau_ref), "rk4", epsilon)
+        final = propagate(sys, z0, tau_ref, ref_steps, "rk4", epsilon)
         ref = np.concatenate((final.q, final.p))
         reference = f"rk4 at tau={tau_ref!r}"
 

@@ -15,6 +15,14 @@ on some, multiply then add on others), and Python has no fused
 multiply-add before 3.13, so every such dot stays in numpy: the solve's
 rows for m ≥ 3, and all stacks and matrix right-hand sides.
 
+One factorization solved against many vectors, as a time stepper with a
+fixed transition map does, is prepared once by :func:`lu_solver` ("factor
+once, solve many", Golub & Van Loan, *Matrix Computations*, §3.1–3.2):
+the 2×2 factor floats, or the row views and bound product methods of the
+row loop, are taken then, not on every solve. ``lu_solve`` of one vector
+is ``lu_solver`` prepared and called once, so there is one one-vector
+implementation.
+
 The one-vector solve for m ≥ 3 takes each row product of two or more
 elements with ``ndarray.dot``, the cheapest numpy call into the BLAS dot.
 ``.dot`` and ``@`` gave the same bits on every length of 2 or more under
@@ -178,7 +186,8 @@ def lu_solve(factorization, b) -> np.ndarray:
     matrix, (N, m) or (N, m, r). Substitution runs row by row over the
     whole stack; each row product is one dot (vector) or vector-matrix
     product (matrix) per item, the same kernel a single solve calls. One
-    matrix with one vector takes a plain row loop of the same products.
+    matrix with one vector goes through :func:`lu_solver`'s row loop of
+    the same products.
     """
     lu, perm = factorization
     m = lu.shape[-1]
@@ -187,7 +196,7 @@ def lu_solve(factorization, b) -> np.ndarray:
         raise DimensionError(
             f"right-hand side has shape {b.shape}, factorization has {lu.shape}")
     if b.ndim == 1:
-        return _lu_solve_vector(lu, perm, b)
+        return lu_solver(factorization)(b)
     x = b[perm] if perm.ndim == 1 else b[np.arange(len(perm))[:, None], perm]
     # ``rows[k]`` is row k of every item with the item axis last: an (r,)
     # row for one matrix, an (N,) or (r, N) array for a stack.
@@ -210,39 +219,59 @@ def lu_solve(factorization, b) -> np.ndarray:
     return x
 
 
-def _lu_solve_vector(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``lu_solve`` of one factorization and one vector, row by row. The
-    last row's empty product is skipped: x - 0.0 is bitwise x. Rows of
-    two or more elements call ``ndarray.dot``, which costs less per call
-    than ``@`` and reaches the same BLAS dot, the kernel of a stack's
-    rows. One-element rows keep ``@``: ``.dot`` of one-element vectors
-    keeps a product's -0.0, where ``@`` returns +0.0.
+def lu_solver(factorization):
+    """``lu_solve`` of one (m, m) factorization, prepared once for many
+    float vectors b of length m: ``lu_solver(f)(b)`` is ``lu_solve(f, b)``.
+    Neither b nor the factorization is written.
 
-    At m = 2 both products have one element and run on floats, as
-    ``0.0 + a * b`` to keep that +0.0. A zero pivot there (only a NaN
-    threshold lets one through) raises ``ZeroDivisionError`` in Python,
-    so that solve reruns the numpy loop for numpy's inf or NaN."""
+    At m = 2 both substitution products have one element and run on the
+    four factor floats as ``0.0 + a * b`` (``@`` of one-element vectors
+    turns a -0.0 product into +0.0). A zero pivot, which only a NaN
+    threshold lets through, raises ``ZeroDivisionError`` in Python; that
+    solve falls back to the row loop for numpy's inf or NaN.
+    """
+    lu, perm = factorization
     m = len(perm)
-    if m == 2:
-        (u00, u01), (l10, u11) = lu.tolist()
-        p0, p1 = perm.tolist()
+    if lu.shape != (m, m):
+        raise DimensionError(f"expected one factorization, got lu of shape {lu.shape}")
+    if m != 2:
+        return _row_solver(lu, perm)
+    (u00, u01), (l10, u11) = lu.tolist()
+    p0, p1 = perm.tolist()
+
+    def solve(b):
         rhs = b.tolist()
         try:
             x1 = (rhs[p1] - (0.0 + l10 * rhs[p0])) / u11
             return np.array([(rhs[p0] - (0.0 + u01 * x1)) / u00, x1])
         except ZeroDivisionError:
-            pass
-    x = b[perm]
-    for k in range(1, m):
-        row = lu[k, :k]
-        x[k] -= row.dot(x[:k]) if k > 1 else row @ x[:k]
-    if m:
-        x[-1] /= lu[-1, -1]
-    for k in range(m - 2, -1, -1):
-        row = lu[k, k + 1 :]
-        dot = row.dot(x[k + 1 :]) if k < m - 2 else row @ x[k + 1 :]
-        x[k] = (x[k] - dot) / lu[k, k]
-    return x
+            return _row_solver(lu, perm)(b)
+    return solve
+
+
+def _row_solver(lu: np.ndarray, perm: np.ndarray):
+    """``lu_solver``'s row loop, with each row's view of ``lu`` and bound
+    product method taken once. Rows of two or more elements call
+    ``ndarray.dot``, cheaper per call than ``@`` and the same BLAS dot as
+    a stack's rows; one-element rows keep ``@``, as ``.dot`` keeps a -0.0
+    product. The last row's empty product is skipped (x - 0.0 is x)."""
+    m = len(perm)
+    forward = [(k, lu[k, :k].dot if k > 1 else lu[k, :k].__matmul__)
+               for k in range(1, m)]
+    back = [(k, lu[k, k + 1 :].dot if k < m - 2 else lu[k, k + 1 :].__matmul__, lu[k, k])
+            for k in range(m - 2, -1, -1)]
+    last = lu[-1, -1] if m else None
+
+    def solve(b):
+        x = b[perm]
+        for k, product in forward:
+            x[k] -= product(x[:k])
+        if m:
+            x[-1] /= last
+        for k, product, pivot in back:
+            x[k] = (x[k] - product(x[k + 1 :])) / pivot
+        return x
+    return solve
 
 
 def solve(a, b, rtol: float = PIVOT_RTOL) -> np.ndarray:

@@ -13,7 +13,8 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError
 
-#: Default defect tolerance below which a matrix counts as symplectic.
+#: Defect tolerance of a matrix F with ‖F‖_F ≤ 1; a larger F is allowed
+#: this times ‖F‖_F² (see :func:`scaled_verdict`).
 SYMPLECTIC_TOL = 1e-10
 
 
@@ -48,14 +49,42 @@ def _validated_pair(mat, form, stacked=False):
     return mat, np.asarray(form, dtype=float)
 
 
+def frobenius_squared(d):
+    """‖D‖_F² of one matrix, or of each matrix of a stack as an array.
+    Each is one dot product, as ``np.linalg.norm`` takes it, and the
+    products are per-matrix BLAS calls, so an item of a stack is bit for
+    bit its matrix on its own."""
+    flat = d.reshape(d.shape[:-2] + (-1,))
+    return linalg.rowdot(flat, flat)
+
+
 def _frobenius(d):
     """Frobenius norm of one matrix as a float, or of each matrix of a
-    stack as an array. Each norm is one dot product, as
-    ``np.linalg.norm`` takes it, and the products are per-matrix BLAS
-    calls, so an item of a stack is bit for bit its matrix on its own."""
-    flat = d.reshape(d.shape[:-2] + (-1,))
-    norm = np.sqrt(linalg.rowdot(flat, flat))
+    stack as an array."""
+    norm = np.sqrt(frobenius_squared(d))
     return float(norm) if d.ndim == 2 else norm
+
+
+def scaled_verdict(defects, norms2):
+    """Verdict on a family of transition matrices F from their defects
+    ‖FᵀJF - J‖_F and their ‖F‖_F².
+
+    The round-off in FᵀJF - J grows like ε·‖F‖² (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.5), so each defect is judged
+    against ``SYMPLECTIC_TOL · max(1, ‖F‖_F²)``. Returns ``(word, ratio, index)``:
+    "symplectic" when every defect passes, else "unsymplectic", or
+    "insufficient data" for an empty family; the largest defect /
+    max(1, ‖F‖_F²); and the position of its first occurrence (both None
+    for an empty family).
+    """
+    defects = np.asarray(defects, dtype=float)
+    scale = np.maximum(1.0, np.asarray(norms2, dtype=float))
+    if defects.size == 0:
+        return "insufficient data", None, None
+    ratio = defects / scale
+    worst = int(np.argmax(ratio))
+    word = "symplectic" if np.all(defects <= SYMPLECTIC_TOL * scale) else "unsymplectic"
+    return word, float(ratio[worst]), worst
 
 
 def infinitesimal_symplectic_defect(b, form=None) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import damped_midpoint.cli as cli
+import damped_midpoint.diagnostics as diagnostics
 from damped_midpoint import factored_symplectic_defect, integrate, scheme_factors
 from damped_midpoint.cli import bundled_config_path, config_to_dict, load_config
 from damped_midpoint.integrators import _verify_chunk
@@ -297,6 +298,20 @@ class TestConvergence:
         assert rc == cli.EXIT_SOLVER
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "solver"
 
+    @pytest.mark.parametrize("extra", [
+        ["--levels", 40],                       # 50 * 2**39 steps at the last level
+        ["--tau-max", 1e-300, "--levels", 1],   # about 1e301 steps
+    ])
+    def test_study_past_step_ceiling_rejected(self, tmp_path, capsys, monkeypatch, extra):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused study must not step")
+        monkeypatch.setattr(diagnostics, "propagate", no_stepping)
+        rc = run_cli(["convergence", "--config", "paper_1d",
+                      "--out", tmp_path / "conv", *extra])
+        assert rc == cli.EXIT_SOLVER
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "solver" and "MAX_STUDY_STEPS" in error["message"]
+
 
 class TestCheckSymplectic:
     def test_paper_1d_verdicts(self, tmp_path, capsys):
@@ -331,6 +346,35 @@ class TestCheckSymplectic:
         summary = read_json(tmp_path / "sym.symplectic.json")
         assert summary["verdicts"]["indirect"] == "insufficient data"
         assert summary["singular_steps"] == 10
+
+    @pytest.mark.parametrize("seed, steps", [(61, 1400), (71, 2000)])
+    def test_verdict_scales_with_transition_norm(self, tmp_path, seed, steps):
+        """Seeded 16-DOF systems (the benchmark's ``dense-16d`` recipe).
+        Where K + K̃ nears -4/τ², ‖F‖_F² is large and a substituting map's
+        defect can pass the fixed 1e-10: seed 61 at step 1346 (1.34e-10 on
+        the SkylakeX kernel), seed 71 on every kernel (2.4e-10 to
+        6.5e-10). Judged against ‖F‖_F², the indirect family passes; the
+        direct family still fails."""
+        n, rng = 16, np.random.default_rng(seed)
+        a = rng.integers(-3, 4, size=(n, n))
+        b = rng.integers(-1, 2, size=(n, n))
+        cfg = tmp_path / "dense.json"
+        cfg.write_text(json.dumps({
+            "system": {"K": ((a @ a.T + n * np.eye(n, dtype=np.int64)) / 64.0).tolist(),
+                       "C": ((b @ b.T) / 512.0).tolist()},
+            "initial": {"q": rng.uniform(-0.5, 0.5, n).tolist(),
+                        "p": rng.uniform(-0.5, 0.5, n).tolist()},
+            "tau": 0.2, "n_steps": steps, "method": "midpoint_indirect", "epsilon": 1e-8,
+        }))
+        assert run_cli(["check-symplectic", "--config", cfg, "--out", tmp_path / "sym"]) == 0
+        summary = read_json(tmp_path / "sym.symplectic.json")
+        if seed == 71:
+            assert summary["defect_indirect_max"] > summary["threshold"]
+        assert summary["verdicts"] == {"direct": "unsymplectic", "indirect": "symplectic"}
+        worst = summary["max_scaled_defect"]
+        assert worst["indirect"]["ratio"] <= summary["threshold"]
+        assert worst["direct"]["step"] == 1
+        assert worst["direct"]["ratio"] > summary["threshold"]
 
     def test_factor_columns_present(self, tmp_path):
         assert run_cli(["check-symplectic", "--config", "paper_2d",

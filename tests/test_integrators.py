@@ -291,7 +291,7 @@ class TestTrajectoryArrays:
     def test_arrays_are_read_only(self, sys_1d, z0_1d):
         tr = dm.integrate(sys_1d, z0_1d, 0.2, 5)
         for name in ("t", "q", "p", "energy", "work", "hhat", "ktilde", "valid",
-                     "defect_indirect"):
+                     "defect_indirect", "norm2_indirect"):
             with pytest.raises(ValueError):
                 getattr(tr, name)[0] = 0
 
@@ -306,7 +306,7 @@ class TestTrajectoryArrays:
         read_only = integrators._read_only
         monkeypatch.setattr(integrators, "_read_only", spy)
         tr = dm.integrate(sys_1d, z0_1d, 0.2, 5, method)
-        assert len(kept) == 9 and all(kept)
+        assert len(kept) == 10 and all(kept)
         assert tr.q.base is tr.p.base
 
     def test_constructor_copies_writable_inputs(self, sys_1d):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from damped_midpoint import SingularMatrixError, lu_factor, lu_solve, solve
+from damped_midpoint import SingularMatrixError, lu_factor, lu_solve, lu_solver, solve
 from damped_midpoint.errors import DimensionError
 from damped_midpoint.linalg import rowdot
 
@@ -139,6 +139,8 @@ def test_stacked_rhs_shape_mismatch_rejected():
     factorization = lu_factor(np.stack([np.eye(3)] * 2))
     with pytest.raises(DimensionError):
         lu_solve(factorization, np.ones((3, 3)))
+    with pytest.raises(DimensionError):
+        lu_solver(factorization)
 
 
 def test_empty_matrix_solves_to_empty():
@@ -166,8 +168,14 @@ def test_nan_entries_factor_as_the_stack(a):
 
 
 def test_zero_pivot_under_nan_threshold_solves_to_nan():
-    x = lu_solve(lu_factor(np.array([[0.0, 0.0], [0.0, np.nan]])), np.array([1.0, 2.0]))
+    factorization = lu_factor(np.array([[0.0, 0.0], [0.0, np.nan]]))
+    b = np.array([1.0, 2.0])
+    x = lu_solve(factorization, b)
     assert x.shape == (2,) and np.isnan(x).all()
+    # The prepared solver falls back to the row loop on every call.
+    solve = lu_solver(factorization)
+    for _ in range(2):
+        assert solve(b).tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 1024])
