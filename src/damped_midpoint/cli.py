@@ -87,7 +87,7 @@ def _load_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also bad UTF-8, or an integer past the digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -102,7 +102,7 @@ def _system_from_obj(obj, base: Path) -> DampedLinearSystem:
     K, C = _numbers(obj, "K"), _numbers(obj, "C")
     try:
         return DampedLinearSystem(K=K, C=C, label=str(obj.get("label", "")))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid system definition: {exc}") from exc
 
 
@@ -112,9 +112,13 @@ def _number(obj: dict, key: str, default=None) -> float:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    if not np.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:   # an int beyond the float range
+        number = np.inf
+    if not np.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _numbers(obj: dict, key: str) -> list:
@@ -166,7 +170,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     q, p = _numbers(init, "q"), _numbers(init, "p")
     try:
         initial = PhaseState(t=t0, q=q, p=p)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     tau = _number(raw, "tau")
     n_steps = _count(raw, "n_steps")

@@ -5,8 +5,9 @@ rows): LU factorization with partial pivoting for the implicit solves. No
 sparse or iterative machinery.
 
 Small single problems run on Python floats, where numpy's per-call cost
-exceeds the arithmetic: the factor of one m×m matrix with 1 ≤ m ≤ 16, and
-the solve of one 2×2 factorization with one vector. Elementwise float
+exceeds the arithmetic: the factor of one m×m matrix with 1 ≤ m ≤ 10, and
+the solve of one 2×2 factorization with one vector. At m = 10 to 11 the
+float loop and the numpy loop cost the same. Elementwise float
 operations (divide, multiply, subtract, abs, compare) round the same in
 Python as in numpy, so these paths are bit for bit the numpy loops (up
 to the sign of a NaN, which numpy itself does not fix). A BLAS dot of
@@ -22,6 +23,23 @@ the 2×2 factor floats, or the row views and bound product methods of the
 row loop, are taken then, not on every solve. ``lu_solve`` of one vector
 is ``lu_solver`` prepared and called once, so there is one one-vector
 implementation.
+
+The time-centered scheme's factors are M = [[I, D], [A, I]] with D =
+-(τ/2)·I: A = (τ/2)K + C for the direct scheme, (τ/2)(K + K̃) for the
+substituting system. One such matrix above the float bound is factored
+through its n×n Schur block S = I - A·D (Golub & Van Loan, §3.2 and
+§3.4), bit for bit the full row loop, when both I blocks and the
+off-diagonal of D hold +0.0 exactly, every |A| ≤ 1 with no -0.0 in A, and
+1 exceeds the pivot threshold. Then each of the first n columns pivots on
+its own row: its pivot is 1, no entry below it is larger, and ``argmax``
+takes the first maximum. Every other update in those columns subtracts a
+±0 product, which leaves an entry that is not -0.0 as it was (only
+-0.0 - (-0.0) makes +0.0). The entries that change are those of the last
+block, each by one multiply and one subtract: S. The row loop then
+factors S against the whole matrix's threshold, and rows n.. of L are A
+permuted by S's pivots. Any other matrix, and every stack, runs the full
+loop. The solve is not taken apart this way: skipping a dot of zeros
+would depend on how each BLAS kernel sums it.
 
 The one-vector solve for m ≥ 3 takes each row product of two or more
 elements with ``ndarray.dot``, the cheapest numpy call into the BLAS dot.
@@ -42,10 +60,13 @@ PIVOT_RTOL = 1e-13
 
 _TINY = np.finfo(float).tiny
 
+# The bits of -0.0 read as an int64.
+_NEG_ZERO = np.float64(-0.0).view(np.int64)
+
 # Largest m whose one-matrix factor runs on Python floats: the float loop
 # costs O(m³) interpreted operations, the numpy loop O(m) calls, and the
-# two cost about the same at m = 16.
-_FLOAT_FACTOR_MAX = 16
+# two cost about the same at m = 10 to 11.
+_FLOAT_FACTOR_MAX = 10
 
 
 def rowdot(a: np.ndarray, b: np.ndarray):
@@ -115,9 +136,43 @@ def lu_factor(a, rtol: float = PIVOT_RTOL):
 def _lu_factor_one(lu: np.ndarray, rtol: float):
     """``lu_factor`` of one (m, m) matrix, in place: the stacked kernel's
     operations on a single item. The first pivot at or below the
-    threshold raises, with the value the stacked kernel reports."""
-    m = len(lu)
+    threshold raises, with the value the stacked kernel reports.
+
+    A scheme-shaped matrix [[I, D], [A, I]] (see :func:`_scheme_half`)
+    keeps rows 0..n-1 as its first n pivots, so only its Schur block
+    S = I - A·D is factored; rows n.. of L are A permuted by S's pivots.
+    """
     threshold = rtol * np.maximum(np.abs(lu).max(initial=0.0), _TINY)
+    n = _scheme_half(lu, threshold)
+    if not n:
+        return _lu_rows(lu, threshold)
+    s, perm = _lu_rows(lu[n:, n:] - lu[n:, :n] * np.diagonal(lu[:n, n:]), threshold)
+    lu[n:, :n] = lu[n:, :n][perm]
+    lu[n:, n:] = s
+    return lu, np.concatenate((np.arange(n), n + perm))
+
+
+def _scheme_half(lu: np.ndarray, threshold) -> int:
+    """n when the (2n, 2n) matrix ``lu``, 2n above the float bound, is
+    [[I, D], [A, I]] bit for bit: both I blocks and the off-diagonal of
+    D hold +0.0, every |A| <= 1, A holds no -0.0, and 1 > threshold.
+    Otherwise 0, judged on the cheapest conditions first."""
+    n = len(lu) // 2
+    if len(lu) <= _FLOAT_FACTOR_MAX or len(lu) % 2 or not 1.0 > threshold:
+        return 0
+    eye = np.eye(n).tobytes()
+    a = lu[n:, :n]
+    if (lu[n:, n:].tobytes() != eye or lu[:n, :n].tobytes() != eye
+            or lu[:n, n:].tobytes() != np.diag(np.diagonal(lu[:n, n:])).tobytes()
+            or not np.abs(a).max() <= 1.0 or (a.view(np.int64) == _NEG_ZERO).any()):
+        return 0
+    return n
+
+
+def _lu_rows(lu: np.ndarray, threshold):
+    """The row loop of ``_lu_factor_one`` against ``threshold``: on Python
+    floats up to the float bound, else on numpy rows."""
+    m = len(lu)
     if 1 <= m <= _FLOAT_FACTOR_MAX:
         try:
             return _lu_factor_floats(lu.tolist(), threshold)
@@ -129,8 +184,10 @@ def _lu_factor_one(lu: np.ndarray, rtol: float):
         for k in range(m):
             piv = k + int(np.abs(lu[k:, k]).argmax())
             if piv != k:
-                lu[[k, piv]] = lu[[piv, k]]
-                perm[[k, piv]] = perm[[piv, k]]
+                row = lu[k].copy()
+                lu[k] = lu[piv]
+                lu[piv] = row
+                perm[k], perm[piv] = perm[piv], perm[k]
             pivot = abs(lu[k, k])
             if pivot <= threshold:
                 raise SingularMatrixError(pivot, threshold)
@@ -141,7 +198,7 @@ def _lu_factor_one(lu: np.ndarray, rtol: float):
 
 
 def _lu_factor_floats(rows: list, threshold):
-    """The row loop of ``_lu_factor_one`` on a list of float rows.
+    """The row loop of ``_lu_rows`` on a list of float rows.
 
     The pivot is the first maximal |·| of the column, or its first NaN,
     as ``argmax`` picks it. Only the sign of a NaN made from two NaN

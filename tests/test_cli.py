@@ -131,6 +131,13 @@ class TestRun:
         rc = run_cli(["run", "--config", bad, "--out", tmp_path / "x"])
         assert rc == cli.EXIT_CONFIG
 
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"label": "\xff"}')
+        rc = run_cli(["run", "--config", bad, "--out", tmp_path / "x"])
+        assert rc == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
     def test_system_field_may_reference_file(self, tmp_path):
         (tmp_path / "plant.json").write_text(json.dumps(
             {"label": "plant", "K": [[2.0]], "C": [[0.05]]}))
@@ -175,6 +182,24 @@ class TestRun:
         assert rc == cli.EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("field", ['"tau": BIG', '"epsilon": BIG', '"horizon": BIG',
+                                       '"initial": {"t": BIG, "q": [0.1], "p": [0.2]}',
+                                       '"initial": {"q": [BIG], "p": [0.2]}',
+                                       '"system": {"K": [[BIG]], "C": [[0.05]]}',
+                                       '"n_steps": 1' + "0" * 5000],
+                             ids=["tau", "epsilon", "horizon", "initial.t", "initial.q",
+                                  "system.K", "n_steps-5001-digits"])
+    def test_oversized_integers_rejected(self, tmp_path, capsys, field):
+        """JSON integers past the float range (10**400), and one past
+        Python's 4300-digit conversion limit, are config errors."""
+        base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
+        cfg = tmp_path / "big.json"
+        cfg.write_text(f"{base}, {field.replace('BIG', str(10 ** 400))}}}")
+        rc = run_cli(["run", "--config", cfg, "--out", tmp_path / "x"])
+        assert rc == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # (τ/2)² K = -I makes the implicit factor exactly singular

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from damped_midpoint import SingularMatrixError, lu_factor, lu_solve, lu_solver, solve
+import damped_midpoint as dm
+from damped_midpoint import SingularMatrixError, integrators, linalg, lu_factor, lu_solve, \
+    lu_solver, solve
 from damped_midpoint.errors import DimensionError
 from damped_midpoint.linalg import rowdot
 
@@ -187,3 +189,39 @@ def test_rowdot_is_bitwise_per_row(m):
     for i in range(5):
         assert stacked[i] == a[i] @ b[i]
         assert rowdot(a[i], b[i]) == a[i] @ b[i]
+
+
+def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
+    """On the benchmark's seeded 16-DOF system (``dense-16d`` at seed 0,
+    80 indirect steps), the direct factor and the substituting factors
+    with every |A| ≤ 1 reach the row loop as their 16×16 Schur block; the
+    ones with some |A| > 1 run the full 32×32 loop. Each is bit for bit
+    the stacked kernel's."""
+    n, rng = 16, np.random.default_rng(0)
+    a = rng.integers(-3, 4, size=(n, n))
+    b = rng.integers(-1, 2, size=(n, n))
+    sys_ = dm.make_system((a @ a.T + n * np.eye(n, dtype=np.int64)) / 64.0,
+                          (b @ b.T) / 512.0)
+    z0 = dm.PhaseState(0.0, rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n))
+    tr = dm.integrate(sys_, z0, 0.2, 80, "midpoint_indirect", 1e-8)
+    pairs = integrators._substituting_pairs(sys_.K, 0.2)
+    matrices = [dm.scheme_factors(sys_.K, sys_.C, 0.2)[0]]
+    matrices += [pairs(d)[0] for d in tr.ktilde[~tr.singular]]
+    sizes = []
+    row_loop = linalg._lu_rows
+
+    def counted_row_loop(lu, threshold):
+        sizes.append(len(lu))
+        return row_loop(lu, threshold)
+    monkeypatch.setattr(linalg, "_lu_rows", counted_row_loop)
+    schur = 0
+    for m in matrices:
+        sizes.clear()
+        lu, perm = lu_factor(m)
+        qualifies = np.abs(m[n:, :n]).max() <= 1.0
+        assert sizes == ([n] if qualifies else [2 * n])
+        schur += qualifies
+        stacked = lu_factor(m[None])
+        assert lu.tobytes() == stacked[0][0].tobytes()
+        assert perm.tobytes() == stacked[1][0].tobytes()
+    assert schur >= 70 and len(matrices) - schur >= 1

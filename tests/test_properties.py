@@ -2,8 +2,9 @@
 
 Systems are drawn with SPD stiffness K = AAᵀ + sI, PSD damping C = BBᵀ,
 n ≤ 6 degrees of freedom and τ ∈ [1e-3, 1]. The LU kernel's one-matrix
-path is checked against its stacked path on random square systems, and
-the substituting-pair builder against ``scheme_factors``.
+path is checked against its stacked path on random square systems and on
+the scheme's own factor matrices, and the substituting-pair builder
+against ``scheme_factors``.
 Runs are derandomized, so every run of the suite checks the same
 examples.
 """
@@ -176,6 +177,88 @@ def test_one_matrix_lu_is_the_stacked_kernel(system):
         x = dm.lu_solve((lu, perm), b)
         expected = dm.lu_solve(stacked, b[None])[0]
     assert x.tobytes() == expected.tobytes()
+
+
+@st.composite
+def scheme_matrices(draw):
+    """M of the time-centered scheme, [[I, -(τ/2)I], [A, I]], from
+    ``scheme_factors(K, C, τ)`` or ``_substituting_pairs(K, τ)(d)``, with
+    n ≤ 20, so that both 2n and the Schur block's n fall on both sides of
+    the float bound. K and C hold ±0.0 often. A scale of 10 makes |A| > 1
+    almost always; the smaller scales often keep |A| ≤ 1. Some draws get
+    a NaN, ±inf, -0.0 or 0.5 entry, which may break the block structure.
+    Arrays come from a seed: hypothesis would
+    fill most entries of a large array with one value."""
+    n = draw(st.integers(1, 20))
+    tau = draw(st.one_of(st.sampled_from([5e-324, 1e-310, 0.2]), st.floats(1e-3, 4.0)))
+    scale = draw(st.sampled_from([0.05, 0.2, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    K, C = scale * rng.uniform(-2.0, 2.0, (2, n, n))
+    for x in (K, C):
+        zeros = rng.random((n, n)) < 1 / 3
+        x[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+    if draw(st.booleans()):
+        a = dm.scheme_factors(K, C, tau)[0]
+    else:
+        a = integrators._substituting_pairs(K, tau)(scale * rng.uniform(-2.0, 2.0, n))[0]
+    poison = draw(st.sampled_from([None] * 6 + [np.nan, np.inf, -np.inf, -0.0, 0.5]))
+    if poison is not None:
+        a[tuple(rng.integers(0, 2 * n, 2))] = poison
+    return a
+
+
+def _scheme(K, C, tau):
+    return dm.scheme_factors(K, C, tau)[0]
+
+
+def _set(a, index, value):
+    a[index] = value
+    return a
+
+
+def _negative_then_negative_zero():
+    K, C = -np.eye(6), np.zeros((6, 6))
+    K[0, 1] = C[0, 1] = -0.0
+    return _scheme(K, C, 0.5)
+
+
+@settings(property_settings, max_examples=200)
+@given(scheme_matrices())
+# A -0.0 in A right of a negative entry: the full loop subtracts
+# (negative)·(+0.0) = -0.0 from it, which makes +0.0.
+@example(_negative_then_negative_zero())
+# A = -I and D = -I: the Schur block I - A·D is exactly zero.
+@example(_scheme(-np.eye(6), np.zeros((6, 6)), 2.0))
+# max|a| = 2e13 puts the threshold above the unit pivots.
+@example(_scheme(np.zeros((6, 6)), 0.1 * np.eye(6), 4e13))
+# τ = 5e-324 halves to 0.0, so D = -0.0.
+@example(_scheme(np.eye(8), 0.5 * np.eye(8), 5e-324))
+# A nonzero off the diagonal of either I block: not the scheme's shape.
+@example(_set(_scheme(np.eye(8), 0.5 * np.eye(8), 0.2), (0, 1), 0.5))
+@example(_set(_scheme(np.eye(8), 0.5 * np.eye(8), 0.2), (9, 8), 0.5))
+# A -0.0 there, under D = -0.0 and negative entries in its row of A: the
+# full loop's ±0 updates turn it into +0.0.
+@example(_set(_scheme(np.zeros((6, 6)), _set(_set(0.5 * np.eye(6), (1, 0), -0.5), (1, 2), -0.5),
+                      5e-324), (7, 6), -0.0))
+def test_scheme_matrix_lu_is_the_stacked_kernel(a):
+    """The one-matrix factor of a scheme matrix, through its Schur block
+    where it qualifies, is bit for bit the stacked kernel's item. The
+    float loop can give another sign to a NaN made of two NaNs, so a
+    factor with NaNs matches up to that sign."""
+    try:
+        lu_s, perm_s = dm.lu_factor(a[None])
+    except dm.SingularMatrixError as exc:
+        with pytest.raises(dm.SingularMatrixError) as single:
+            dm.lu_factor(a)
+        assert (single.value.pivot, single.value.threshold, single.value.index) == \
+            (exc.pivot, exc.threshold, 0)
+        return
+    lu, perm = dm.lu_factor(a)
+    if np.isnan(lu).any():
+        assert np.array_equal(lu, lu_s[0], equal_nan=True)
+    else:
+        assert lu.tobytes() == lu_s[0].tobytes()
+    assert perm.tobytes() == perm_s[0].tobytes()
 
 
 @st.composite
