@@ -101,7 +101,7 @@ def _system_from_obj(obj, base: Path) -> DampedLinearSystem:
         raise ConfigError('system must be {"label", "K", "C"} or a file path')
     K, C = _numbers(obj, "K"), _numbers(obj, "C")
     try:
-        return DampedLinearSystem(K=K, C=C, label=str(obj.get("label", "")))
+        return DampedLinearSystem(K=K, C=C, label=_text(obj, "label", ""))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid system definition: {exc}") from exc
 
@@ -147,6 +147,16 @@ def _count(obj: dict, key: str) -> int:
     return value
 
 
+def _text(obj: dict, key: str, default=None) -> str | None:
+    """Field ``key`` of a config object as a string; numbers, bools and
+    other JSON values are rejected, not converted by ``str``. A null is
+    accepted only where the default is None."""
+    value = obj.get(key, default)
+    if not isinstance(value, str) and not (value is None and default is None):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse a JSON run configuration, resolving bundled names and overrides."""
     path = Path(path)
@@ -187,10 +197,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         initial=initial,
         tau=tau,
         n_steps=n_steps,
-        method=str(raw.get("method", "midpoint_direct")),
+        method=_text(raw, "method", "midpoint_direct"),
         epsilon=epsilon,
-        output_prefix=raw.get("output_prefix"),
-        label=str(raw.get("label", path.stem)),
+        output_prefix=_text(raw, "output_prefix"),
+        label=_text(raw, "label", path.stem),
     )
     return cfg.validate()
 

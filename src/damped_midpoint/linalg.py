@@ -38,8 +38,21 @@ takes the first maximum. Every other update in those columns subtracts a
 block, each by one multiply and one subtract: S. The row loop then
 factors S against the whole matrix's threshold, and rows n.. of L are A
 permuted by S's pivots. Any other matrix, and every stack, runs the full
-loop. The solve is not taken apart this way: skipping a dot of zeros
-would depend on how each BLAS kernel sums it.
+loop.
+
+The solve takes the same blocks apart. A factorization of 2n rows,
+above the float bound, whose first n rows are [I | diag(D)] bit for bit,
+as those factors' are, has forward rows 1..n-1 that are dots of +0.0
+rows and back rows n-1..0 that each hold one nonzero product over a unit
+pivot. Its solve runs rows n..2n-1 both ways and then
+x[:n] -= 0.0 + d·x[n:]. For finite x, the dot of a +0.0 row is +0.0 and
+that of a row with one nonzero a is 0.0 + a·x, through ``ndarray.dot``,
+``@`` and stacked ``np.matmul`` under the SkylakeX, Haswell and
+Sandybridge OpenBLAS kernels (the tests check this on each), so the
+result is bit for bit the full loop's. A result that is not finite is
+solved again by the full loop, as 0·inf = NaN in the skipped dots. The
+shape is read from the factorization's bits, not from how it was made;
+a stack skips rows only if every item has it.
 
 The one-vector solve for m ≥ 3 takes each row product of two or more
 elements with ``ndarray.dot``, the cheapest numpy call into the BLAS dot.
@@ -50,6 +63,8 @@ returns +0.0, so one-element rows keep ``@``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -156,17 +171,36 @@ def _scheme_half(lu: np.ndarray, threshold) -> int:
     """n when the (2n, 2n) matrix ``lu``, 2n above the float bound, is
     [[I, D], [A, I]] bit for bit: both I blocks and the off-diagonal of
     D hold +0.0, every |A| <= 1, A holds no -0.0, and 1 > threshold.
-    Otherwise 0, judged on the cheapest conditions first."""
-    n = len(lu) // 2
-    if len(lu) <= _FLOAT_FACTOR_MAX or len(lu) % 2 or not 1.0 > threshold:
+    Otherwise 0; a matrix at or below the float bound returns at once."""
+    n = _unit_rows(lu)
+    if not n or not 1.0 > threshold:
         return 0
-    eye = np.eye(n).tobytes()
     a = lu[n:, :n]
-    if (lu[n:, n:].tobytes() != eye or lu[:n, :n].tobytes() != eye
-            or lu[:n, n:].tobytes() != np.diag(np.diagonal(lu[:n, n:])).tobytes()
+    if (lu[n:, n:].tobytes() != _template(n)[1]
             or not np.abs(a).max() <= 1.0 or (a.view(np.int64) == _NEG_ZERO).any()):
         return 0
     return n
+
+
+@functools.cache
+def _template(n: int):
+    """The bytes of [I | 0], n rows of 2n, and of the n×n identity."""
+    return np.eye(n, 2 * n).tobytes(), np.eye(n).tobytes()
+
+
+def _unit_rows(lu: np.ndarray) -> int:
+    """n when every (2n, 2n) matrix in ``lu`` (one, or a stack), 2n above
+    the float bound, has rows 0..n-1 [I | diag(D)] bit for bit: the
+    identity, and +0.0 off the diagonal of D. Otherwise 0. This is the
+    shape of the scheme matrix's first n rows and of its factorization's."""
+    m = lu.shape[-1]
+    n = m // 2
+    if m <= _FLOAT_FACTOR_MAX or m % 2:
+        return 0
+    rows = lu[..., :n, :].copy()
+    # D's diagonal, entries (k, n + k), lies at n + k·(2n + 1) in a raveled item.
+    rows.reshape(rows.shape[:-2] + (-1,))[..., n :: m + 1] = 0.0
+    return n if rows.tobytes() == _template(n)[0] * (rows.size // (n * m)) else 0
 
 
 def _lu_rows(lu: np.ndarray, threshold):
@@ -244,16 +278,36 @@ def lu_solve(factorization, b) -> np.ndarray:
     whole stack; each row product is one dot (vector) or vector-matrix
     product (matrix) per item, the same kernel a single solve calls. One
     matrix with one vector goes through :func:`lu_solver`'s row loop of
-    the same products.
+    the same products. Factorizations whose first n rows are
+    [I | diag(D)] (see :func:`_substitute`) skip the rows known in
+    advance, all items of a stack or none.
     """
     lu, perm = factorization
-    m = lu.shape[-1]
     b = np.asarray(b, dtype=float)
     if b.shape[: lu.ndim - 1] != lu.shape[:-1] or b.ndim > lu.ndim:
         raise DimensionError(
             f"right-hand side has shape {b.shape}, factorization has {lu.shape}")
     if b.ndim == 1:
         return lu_solver(factorization)(b)
+    half = _unit_rows(lu)
+    x = _substitute(lu, perm, b, half)
+    if half and not np.isfinite(x).all():
+        x = _substitute(lu, perm, b, 0)
+    return x
+
+
+def _substitute(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
+    """``lu_solve``'s row loop for stacks and matrix right-hand sides.
+
+    With ``half`` = n, every factorization's rows 0..n-1 are [I | diag(D)]
+    (:func:`_unit_rows`): forward rows 1..n-1 are dots of +0.0 rows,
+    which leave x as it is, and back rows n-1..0 each hold one nonzero
+    product over a unit pivot, 0.0 + d·x[n + k], so all n are one
+    elementwise update. Both are the BLAS products' bits while x is
+    finite (a +0.0 dot sums to +0.0); the caller reruns with ``half`` = 0
+    when x is not.
+    """
+    m = lu.shape[-1]
     x = b[perm] if perm.ndim == 1 else b[np.arange(len(perm))[:, None], perm]
     # ``rows[k]`` is row k of every item with the item axis last: an (r,)
     # row for one matrix, an (N,) or (r, N) array for a stack.
@@ -268,11 +322,14 @@ def lu_solve(factorization, b) -> np.ndarray:
         def product(k, lo, hi):
             return np.matmul(lu[..., k, None, lo:hi], x[..., lo:hi, :])[..., 0, :].T
     diag = lu.T
-    for k in range(1, m):
+    for k in range(max(half, 1), m):
         rows[k] -= product(k, 0, k)
-    for k in range(m - 1, -1, -1):
+    for k in range(m - 1, half - 1, -1):
         rows[k] -= product(k, k + 1, m)
         rows[k] /= diag[k, k]
+    if half:
+        d = diag[half + np.arange(half), np.arange(half)]
+        rows[:half] -= 0.0 + (d if b.ndim < lu.ndim else d[:, None]) * rows[half:]
     return x
 
 
@@ -285,14 +342,16 @@ def lu_solver(factorization):
     four factor floats as ``0.0 + a * b`` (``@`` of one-element vectors
     turns a -0.0 product into +0.0). A zero pivot, which only a NaN
     threshold lets through, raises ``ZeroDivisionError`` in Python; that
-    solve falls back to the row loop for numpy's inf or NaN.
+    solve falls back to the row loop for numpy's inf or NaN. Above the
+    float bound, a factorization whose first n rows are [I | diag(D)]
+    is checked for that shape once, here.
     """
     lu, perm = factorization
     m = len(perm)
     if lu.shape != (m, m):
         raise DimensionError(f"expected one factorization, got lu of shape {lu.shape}")
     if m != 2:
-        return _row_solver(lu, perm)
+        return _row_solver(lu, perm, _unit_rows(lu))
     (u00, u01), (l10, u11) = lu.tolist()
     p0, p1 = perm.tolist()
 
@@ -306,17 +365,21 @@ def lu_solver(factorization):
     return solve
 
 
-def _row_solver(lu: np.ndarray, perm: np.ndarray):
+def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
     """``lu_solver``'s row loop, with each row's view of ``lu`` and bound
     product method taken once. Rows of two or more elements call
     ``ndarray.dot``, cheaper per call than ``@`` and the same BLAS dot as
     a stack's rows; one-element rows keep ``@``, as ``.dot`` keeps a -0.0
-    product. The last row's empty product is skipped (x - 0.0 is x)."""
+    product. The last row's empty product is skipped (x - 0.0 is x).
+
+    ``half`` = n skips rows 0..n-1 as :func:`_substitute` does. A result
+    that is not finite (its dot with zeros is NaN, not ±0) is solved
+    again by the full loop."""
     m = len(perm)
     forward = [(k, lu[k, :k].dot if k > 1 else lu[k, :k].__matmul__)
-               for k in range(1, m)]
+               for k in range(max(half, 1), m)]
     back = [(k, lu[k, k + 1 :].dot if k < m - 2 else lu[k, k + 1 :].__matmul__, lu[k, k])
-            for k in range(m - 2, -1, -1)]
+            for k in range(m - 2, half - 1, -1)]
     last = lu[-1, -1] if m else None
 
     def solve(b):
@@ -328,7 +391,18 @@ def _row_solver(lu: np.ndarray, perm: np.ndarray):
         for k, product, pivot in back:
             x[k] = (x[k] - product(x[k + 1 :])) / pivot
         return x
-    return solve
+    if not half:
+        return solve
+    d = np.diagonal(lu[:half, half:])
+    zeros = np.zeros(m)
+
+    def structured(b):
+        x = solve(b)
+        x[:half] -= 0.0 + d * x[half:]
+        if zeros.dot(x):
+            return _row_solver(lu, perm)(b)
+        return x
+    return structured
 
 
 def solve(a, b, rtol: float = PIVOT_RTOL) -> np.ndarray:

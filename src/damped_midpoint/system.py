@@ -53,14 +53,16 @@ class DampedLinearSystem:
         c = np.asarray(self.C, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise DimensionError(f"stiffness must be square, got shape {k.shape}")
+        if not k.size:
+            raise DimensionError("degrees of freedom must be >= 1, got 0")
         if c.shape != k.shape:
             raise DimensionError(
                 f"damping shape {c.shape} does not match stiffness shape {k.shape}"
             )
         if not np.all(np.isfinite(k)) or not np.all(np.isfinite(c)):
             raise ValueError("system matrices must be finite")
-        asym = float(np.max(np.abs(k - k.T))) if k.size else 0.0
-        scale = max(float(np.max(np.abs(k))) if k.size else 0.0, _FLOOR)
+        asym = float(np.max(np.abs(k - k.T)))
+        scale = max(float(np.max(np.abs(k))), _FLOOR)
         if asym > _SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"stiffness must be symmetric: max |K - K^T| = {asym:.3e} "

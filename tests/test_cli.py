@@ -173,7 +173,12 @@ class TestRun:
                                        '"system": {"K": [[true]], "C": [[0.05]]}',
                                        '"system": {"K": [[2.0]], "C": [["0.05"]]}',
                                        '"initial": {"q": [true], "p": [0.2]}',
-                                       '"initial": {"q": [0.1], "p": ["1"]}'])
+                                       '"initial": {"q": [0.1], "p": ["1"]}',
+                                       '"label": null', '"label": 3',
+                                       '"system": {"label": null, "K": [[2.0]], "C": [[0.05]]}',
+                                       '"system": {"label": [], "K": [[2.0]], "C": [[0.05]]}',
+                                       '"method": null', '"output_prefix": true',
+                                       '"output_prefix": 5'])
     def test_config_values_not_coerced(self, tmp_path, capsys, field):
         base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
         cfg = tmp_path / "bad.json"
@@ -182,6 +187,24 @@ class TestRun:
         assert rc == cli.EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("prefix", ["true", "5", '["x"]'])
+    def test_output_prefix_must_be_a_string(self, tmp_path, capsys, prefix):
+        """Without ``--out`` the config's ``output_prefix`` names the
+        outputs; one that is not a string is a config error."""
+        base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(f'{base}, "output_prefix": {prefix}}}')
+        assert run_cli(["run", "--config", cfg]) == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_null_output_prefix_allowed(self, tmp_path):
+        base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
+        cfg = tmp_path / "null.json"
+        cfg.write_text(f'{base}, "output_prefix": null}}')
+        assert load_config(cfg).output_prefix is None
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path / "x"]) == 0
 
     @pytest.mark.parametrize("field", ['"tau": BIG', '"epsilon": BIG', '"horizon": BIG',
                                        '"initial": {"t": BIG, "q": [0.1], "p": [0.2]}',

@@ -214,6 +214,19 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         sizes.append(len(lu))
         return row_loop(lu, threshold)
     monkeypatch.setattr(linalg, "_lu_rows", counted_row_loop)
+    halves = []
+    row_solver, substitute = linalg._row_solver, linalg._substitute
+
+    def counted_row_solver(lu, perm, half=0):
+        halves.append(half)
+        return row_solver(lu, perm, half)
+
+    def counted_substitute(lu, perm, b, half):
+        halves.append(half)
+        return substitute(lu, perm, b, half)
+    monkeypatch.setattr(linalg, "_row_solver", counted_row_solver)
+    monkeypatch.setattr(linalg, "_substitute", counted_substitute)
+    rhs = np.concatenate((z0.q, z0.p))
     schur = 0
     for m in matrices:
         sizes.clear()
@@ -224,4 +237,48 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         stacked = lu_factor(m[None])
         assert lu.tobytes() == stacked[0][0].tobytes()
         assert perm.tobytes() == stacked[1][0].tobytes()
+        # The solves of a Schur-factored matrix skip its first n rows;
+        # the others run every row. Both give the full loop's bits.
+        halves.clear()
+        x, f = lu_solve((lu, perm), rhs), lu_solve((lu, perm), m)
+        assert halves == ([n, n] if qualifies else [0, 0])
+        assert x.tobytes() == row_solver(lu, perm)(rhs).tobytes()
+        assert f.tobytes() == substitute(lu, perm, m, 0).tobytes()
     assert schur >= 70 and len(matrices) - schur >= 1
+
+
+def test_zero_row_products_round_as_the_structured_solve_assumes():
+    """The structured solve skips dots of +0.0 rows, taking them as +0.0,
+    and takes a row whose one nonzero entry is a as 0.0 + a·x. For finite
+    x, every product the substitution loops call gives those bits: ``@``
+    at length 1, ``.dot`` above it, a (1, k) @ (k, r) matrix product and
+    stacked (N, 1, k) @ (N, k, 1) and (N, 1, k) @ (N, k, 32)
+    ``np.matmul``, at lengths 1 to 69, with x of either sign, signed
+    zeros, subnormal products and entries near the float limits. How a
+    kernel sums a dot is its own, so each CI kernel step runs this."""
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 3e300, -3e300, 5e-324, -5e-324])
+    with np.errstate(over="ignore", under="ignore"):
+        for k in range(1, 70):
+            x = rng.standard_normal((k, k, 32)) * 10.0 ** rng.integers(-300, 300, (k, k, 32))
+            chosen = rng.random(x.shape) < 0.1
+            x[chosen] = rng.choice(special, np.count_nonzero(chosen))
+            x[k // 2] = -np.abs(x[k // 2])   # every product with a +0.0 row is -0.0
+            a = rng.standard_normal(k) * 10.0 ** rng.integers(-3, 4, k)
+            zero, one = np.zeros((k, k)), np.diag(a)
+            expected = (0.0 + a[:, None] * x[np.arange(k), np.arange(k)]).tobytes()
+            assert np.matmul(zero[:, None, :], x).tobytes() == np.zeros((k, 1, 32)).tobytes()
+            assert np.matmul(one[:, None, :], x)[:, 0].tobytes() == expected
+            vectors = np.ascontiguousarray(x[..., 0])
+            assert rowdot(zero, vectors).tobytes() == np.zeros(k).tobytes()
+            assert rowdot(one, vectors).tobytes() == \
+                (0.0 + a * vectors[np.arange(k), np.arange(k)]).tobytes()
+            for j in range(k):
+                row = (zero[j].dot if k > 1 else zero[j].__matmul__)
+                single = (one[j].dot if k > 1 else one[j].__matmul__)
+                for column in np.ascontiguousarray(x[j].T[:4]):
+                    assert row(column).tobytes() == np.float64(0.0).tobytes()
+                    assert single(column).tobytes() == (0.0 + a[j] * column[j]).tobytes()
+                assert (zero[j, None] @ x[j]).tobytes() == np.zeros((1, 32)).tobytes()
+                assert (one[j, None] @ x[j]).tobytes() == \
+                    (0.0 + a[j] * x[j, j])[None].tobytes()

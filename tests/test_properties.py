@@ -3,8 +3,9 @@
 Systems are drawn with SPD stiffness K = AAᵀ + sI, PSD damping C = BBᵀ,
 n ≤ 6 degrees of freedom and τ ∈ [1e-3, 1]. The LU kernel's one-matrix
 path is checked against its stacked path on random square systems and on
-the scheme's own factor matrices, and the substituting-pair builder
-against ``scheme_factors``.
+the scheme's own factor matrices, the structured solve of those factors
+against the full row loop, and the substituting-pair builder against
+``scheme_factors``.
 Runs are derandomized, so every run of the suite checks the same
 examples.
 """
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import damped_midpoint as dm
-from damped_midpoint import integrators
+from damped_midpoint import integrators, linalg
 from damped_midpoint.symplectic import frobenius_squared
 
 STEPS = 12
@@ -240,6 +241,11 @@ def _negative_then_negative_zero():
 # full loop's ±0 updates turn it into +0.0.
 @example(_set(_scheme(np.zeros((6, 6)), _set(_set(0.5 * np.eye(6), (1, 0), -0.5), (1, 2), -0.5),
                       5e-324), (7, 6), -0.0))
+# A -0.0 off the diagonal of the upper I block under D = -0.0: the full
+# loop subtracts (-0.0)·(+0.0) from the -0.0 of D in its row, which makes
+# +0.0. The one template of [I | 0] that the factor and the solve read
+# must hold it apart from +0.0.
+@example(_set(_scheme(np.eye(8), 0.5 * np.eye(8), 5e-324), (1, 0), -0.0))
 def test_scheme_matrix_lu_is_the_stacked_kernel(a):
     """The one-matrix factor of a scheme matrix, through its Schur block
     where it qualifies, is bit for bit the stacked kernel's item. The
@@ -354,3 +360,86 @@ def test_substituting_pairs_are_the_full_builder(case):
     assert got_m.shape == (len(diags),) + expected[0][0].shape
     assert got_m.tobytes() == np.array([m for m, _ in expected]).tobytes()
     assert got_n.tobytes() == np.array([nn for _, nn in expected]).tobytes()
+
+
+# Right-hand side entries: ordinary values, signed zeros, a subnormal-
+# making 1e-300, 3e300 (whose solutions can overflow) and non-finite ones.
+rhs_specials = np.array([0.0, -0.0, 1e-300, -1e-300, 3e300, -3e300, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def structured_solves(draw):
+    """Three factorizations of scheme matrices from ``scheme_factors(K, C,
+    τ)`` (one C, three K) or ``_substituting_pairs(K, τ)`` (three K̃),
+    with n = 6..20 and |A| ≤ 1, so the first n rows of each factorization
+    are [I | diag(D)]; a fourth from the first matrix with one entry
+    of A set to 2, which pivots off that shape; and right-hand sides, for
+    each: three vectors and a matrix of 1..5 columns. A right-hand side
+    is all signed zeros, ordinary values, ordinary values with a few
+    special entries, or finite entries near the float limit, whose
+    solutions tend to overflow. Arrays come from a seed."""
+    n = draw(st.integers(6, 20))
+    tau = draw(st.floats(1e-3, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    K = 0.2 * rng.uniform(-2.0, 2.0, (3, n, n))
+    C = 0.2 * rng.uniform(-2.0, 2.0, (n, n))
+    for x in (K, C):
+        zeros = rng.random(x.shape) < 1 / 3
+        x[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, 0.0, -0.0)
+    if draw(st.booleans()):
+        matrices = dm.scheme_factors(K, C, tau)[0]
+    else:
+        matrices = integrators._substituting_pairs(K[0], tau)(
+            0.2 * rng.uniform(-2.0, 2.0, (3, n)))[0]
+    off = matrices[0].copy()
+    off[n + rng.integers(n), 0] = 2.0
+    factors = [dm.lu_factor(a) for a in (*matrices, off)]
+    kind = draw(st.sampled_from(["zeros", "plain", "special", "huge"]))
+    shape = (4, 2 * n, 3 + draw(st.integers(1, 5)))
+    if kind == "zeros":
+        rhs = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    elif kind == "huge":
+        rhs = np.where(rng.random(shape) < 0.5, -1.0, 1.0) * rng.uniform(1e307, 1.7e308, shape)
+    else:
+        rhs = rng.uniform(-1.0, 1.0, shape)
+        if kind == "special":
+            chosen = rng.random(shape) < 0.05
+            rhs[chosen] = rng.choice(rhs_specials, np.count_nonzero(chosen))
+    return factors, rhs
+
+
+@property_settings
+@given(structured_solves())
+def test_structured_solve_is_the_full_row_loop(case):
+    """A factorization whose first n rows are [I | diag(D)] is solved
+    without its known rows, bit for bit the full row loop, by the prepared
+    one-vector solver (called three times, with b and the factorization
+    read-only), for a matrix right-hand side, and for stacked vectors and
+    matrices. A stack with one item off that shape runs the full loop
+    for all. A solution that is not finite, also one of a finite
+    right-hand side, is solved again by the full loop."""
+    factors, rhs = case
+    n = len(factors[0][1]) // 2
+    for i, (lu, perm) in enumerate(factors):
+        assert linalg._unit_rows(lu) == (n if i < 3 else 0)
+        for array in (lu, perm):
+            array.setflags(write=False)
+    vectors, matrices = rhs[..., :3], rhs[..., 3:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (lu, perm), b, m in zip(factors, vectors, matrices):
+            solve = dm.lu_solver((lu, perm))
+            for column in np.ascontiguousarray(b.T):
+                column.setflags(write=False)
+                expected = linalg._row_solver(lu, perm)(column).tobytes()
+                for _ in range(3):
+                    assert solve(column).tobytes() == expected
+                assert dm.lu_solve((lu, perm), column).tobytes() == expected
+            assert dm.lu_solve((lu, perm), m).tobytes() == \
+                linalg._substitute(lu, perm, m, 0).tobytes()
+        for items in ([0, 1, 2], [0, 3, 1]):   # all on the shape; one off it
+            lus = np.array([factors[i][0] for i in items])
+            perms = np.array([factors[i][1] for i in items])
+            assert linalg._unit_rows(lus) == (n if 3 not in items else 0)
+            for b in (np.ascontiguousarray(vectors[items, :, 0]), matrices[items]):
+                assert dm.lu_solve((lus, perms), b).tobytes() == \
+                    linalg._substitute(lus, perms, b, 0).tobytes()

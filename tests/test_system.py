@@ -58,6 +58,10 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             dm.make_system(np.eye(2), np.zeros((3, 3)))
 
+    def test_no_degrees_of_freedom_rejected(self):
+        with pytest.raises(DimensionError, match="degrees of freedom"):
+            dm.make_system(np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_asymmetric_damping_allowed(self):
         s = dm.make_system(np.eye(2), [[0.1, 0.2], [0.0, 0.1]])
         assert s.n == 2
