@@ -36,22 +36,16 @@ from .system import (
     PhaseState,
     analytic_1d,
     damping_work,
-    equivalent_stiffness,
     make_system,
-    substituting_system,
     total_energy,
 )
 from .integrators import (
     METHODS,
-    IndirectStepInfo,
     StepRecord,
     Trajectory,
     TransitionPair,
     integrate,
-    midpoint_direct_step,
-    midpoint_indirect_step,
     propagate,
-    rk4_step,
     scheme_factors,
     transition_matrices,
 )
@@ -75,7 +69,6 @@ __all__ = [
     "DimensionError",
     "EnergyReport",
     "EquivalentStiffness",
-    "IndirectStepInfo",
     "InsufficientOscillationError",
     "IntegrationError",
     "InvalidStiffnessError",
@@ -91,7 +84,6 @@ __all__ = [
     "convergence_study",
     "damping_work",
     "energy_report",
-    "equivalent_stiffness",
     "factored_symplectic_defect",
     "infinitesimal_symplectic_defect",
     "integrate",
@@ -99,15 +91,11 @@ __all__ = [
     "lu_solve",
     "lu_solver",
     "make_system",
-    "midpoint_direct_step",
-    "midpoint_indirect_step",
     "period_estimate",
     "propagate",
-    "rk4_step",
     "scaled_verdict",
     "scheme_factors",
     "solve",
-    "substituting_system",
     "symplectic_defect",
     "symplectic_form",
     "total_energy",

@@ -36,7 +36,7 @@ from .integrators import METHODS, Trajectory, _substituting_pairs, _verify_chunk
     integrate, scheme_factors
 from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, scaled_verdict, \
     symplectic_form
-from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState
+from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, total_energy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,21 +58,25 @@ class RunConfig:
     label: str
 
     def validate(self) -> "RunConfig":
-        if not self.tau > 0.0 or not np.isfinite(self.tau):
-            raise ConfigError(f"tau must be a positive finite number, got {self.tau}")
+        if not self.tau > 0.0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.method not in METHODS:
             raise ConfigError(
                 f"method must be one of {list(METHODS)}, got {self.method!r}"
             )
-        if not self.epsilon > 0.0 or not np.isfinite(self.epsilon):
-            raise ConfigError(f"epsilon must be a positive finite number, got {self.epsilon}")
+        if not self.epsilon > 0.0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.initial.n != self.system.n:
             raise ConfigError(
                 f"initial condition has {self.initial.n} components, "
                 f"system has {self.system.n}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = total_energy(self.system, self.initial)
+        if not np.isfinite(energy):
+            raise ConfigError(f"initial energy is {energy}, not a finite number")
         return self
 
 
@@ -203,25 +207,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         label=_text(raw, "label", path.stem),
     )
     return cfg.validate()
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Serialize a config back to its JSON representation."""
-    return {
-        "label": cfg.label,
-        "system": {
-            "label": cfg.system.label,
-            "K": cfg.system.K.tolist(),
-            "C": cfg.system.C.tolist(),
-        },
-        "initial": {"t": cfg.initial.t, "q": cfg.initial.q.tolist(),
-                    "p": cfg.initial.p.tolist()},
-        "tau": cfg.tau,
-        "n_steps": cfg.n_steps,
-        "method": cfg.method,
-        "epsilon": cfg.epsilon,
-        "output_prefix": cfg.output_prefix,
-    }
 
 
 # --- formatting and atomic output -----------------------------------------
@@ -565,7 +550,7 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         sys.stderr.write(_error_object("solver", str(exc), step=exc.step_index))
         return EXIT_SOLVER
-    except (SingularMatrixError, ValueError) as exc:
+    except (SingularMatrixError, ValueError, MemoryError) as exc:
         sys.stderr.write(_error_object("solver", str(exc)))
         return EXIT_SOLVER
 

@@ -29,7 +29,6 @@ class EnergyReport:
     the midpoint schemes but not for Runge-Kutta.
     """
 
-    t: np.ndarray
     energy: np.ndarray
     work_cumulative: np.ndarray
     hhat: np.ndarray
@@ -48,7 +47,6 @@ def energy_report(tr: Trajectory) -> EnergyReport:
     hhat = energy + work_cumulative
     residuals = np.abs(np.diff(energy) + works)
     return EnergyReport(
-        t=tr.t,
         energy=energy,
         work_cumulative=work_cumulative,
         hhat=hhat,
@@ -124,8 +122,9 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     reference is the closed-form underdamped solution for scalar systems,
     otherwise a Runge-Kutta run at tau_max/1024. Errors are max-norm over
     the stacked (q, p) vector; observed orders are log₂ of successive
-    error ratios. A study whose ladder and reference steps add up to more
-    than ``MAX_STUDY_STEPS`` raises ``ValueError`` before any stepping.
+    error ratios, None where a ratio is not finite and positive. A study
+    whose ladder and reference steps add up to more than
+    ``MAX_STUDY_STEPS`` raises ``ValueError`` before any stepping.
     """
     levels = int(levels)
     if levels < 1:
@@ -173,6 +172,7 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
 
     rows = [ConvergenceRow(taus[0], errors[0], None)]
     for i in range(1, levels):
-        order = float(np.log2(errors[i - 1] / errors[i])) if errors[i] > 0.0 else None
+        ratio = errors[i - 1] / errors[i] if errors[i] > 0.0 else math.nan
+        order = float(np.log2(ratio)) if 0.0 < ratio < math.inf else None
         rows.append(ConvergenceRow(taus[i], errors[i], order))
     return ConvergenceTable(rows=tuple(rows), reference=reference)

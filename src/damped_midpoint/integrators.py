@@ -1,10 +1,11 @@
 """Time-stepping schemes and trajectory assembly.
 
-Three steppers share one interface: the time-centered (implicit midpoint)
-scheme applied directly to the damped system, the same scheme applied
-indirectly through the per-step substituting conservative system, and a
-classical Runge-Kutta 4 baseline. ``integrate`` drives any of them and
-records per-step energy/work ledgers and symplectic defects in arrays.
+Three schemes share one step kernel: the time-centered (implicit
+midpoint) scheme applied directly to the damped system, the same scheme
+applied indirectly through the per-step substituting conservative system,
+and a classical Runge-Kutta 4 baseline. ``integrate`` steps any of them and
+records per-step energy/work ledgers and symplectic defects in arrays;
+``propagate`` returns only the final state.
 
 The midpoint step solves the linear factor-pair system M·z' = N·z with
 
@@ -153,10 +154,10 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
     ignores it. Its solve is prepared once (``linalg.lu_solver``), and
     each direct step and indirect probe is ``solve1(N.dot(z))``. ``ks`` is
     None except for the indirect scheme, which reports
-    ``(probe, diag, valid, substitute)``: the probe state, the step's
-    equivalent stiffness and, when every component is valid, the
-    substituting scheme's ``(factorization, N)`` pair it stepped with
-    (else None, and z' is the probe).
+    ``(diag, valid, substitute)``: the step's equivalent stiffness and,
+    when every component is valid, the substituting scheme's
+    ``(factorization, N)`` pair it stepped with (else None, and z' is the
+    probe).
     """
     n = K.shape[0]
     if method == "rk4":
@@ -175,71 +176,11 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
         probe = solve1(n1.dot(z))
         diag, valid = _equivalent_stiffness_arrays(C, z[:n], probe[:n], tau, epsilon)
         if not valid.all():
-            return probe, (probe, diag, valid, None)
+            return probe, (diag, valid, None)
         m2, n2 = pairs(diag)
         lu2 = linalg.lu_factor(m2)
-        return linalg.lu_solve(lu2, n2 @ z), (probe, diag, valid, (lu2, n2))
+        return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
     return step
-
-
-def _validate_step_args(sys: DampedLinearSystem, s: PhaseState, tau: float):
-    if s.n != sys.n:
-        raise DimensionError(f"state dimension {s.n} does not match system {sys.n}")
-    if not tau > 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
-
-
-def _single_step(sys: DampedLinearSystem, s: PhaseState, tau: float, method: str,
-                 epsilon: float = DEFAULT_EPSILON):
-    """One step of ``method`` from ``s`` through ``_step_kernel``, the
-    map ``integrate`` steps by: the next state and the kernel's ``ks``."""
-    _validate_step_args(sys, s, tau)
-    tau = float(tau)
-    direct = None if method == "rk4" else _midpoint_solver(sys.K, sys.C, tau)
-    step = _step_kernel(sys.K, sys.C, tau, method, float(epsilon), direct)
-    z1, ks = step(np.concatenate((s.q, s.p)))
-    return PhaseState(s.t + tau, z1[:sys.n], z1[sys.n:]), ks
-
-
-def midpoint_direct_step(sys: DampedLinearSystem, s: PhaseState, tau: float) -> PhaseState:
-    """One time-centered step of the damped system itself."""
-    return _single_step(sys, s, tau, "midpoint_direct")[0]
-
-
-@dataclass(frozen=True)
-class IndirectStepInfo:
-    """Diagnostics from one indirect step: the probe state, the equivalent
-    stiffness derived from it, and whether any component was singular."""
-
-    probe: PhaseState
-    ktilde: EquivalentStiffness
-    singular: bool
-
-
-def midpoint_indirect_step(sys: DampedLinearSystem, s: PhaseState, tau: float,
-                           epsilon: float = DEFAULT_EPSILON):
-    """One step through the substituting conservative system.
-
-    Pipeline: (1) probe step of the damped system by the direct scheme;
-    (2) equivalent stiffness K̃ from the probe's coordinate pair; (3) a
-    midpoint step of the conservative system with stiffness K + K̃ and no
-    damping. When every K̃ component is valid the stage-3 state is returned
-    (it reproduces the probe up to round-off); on any singular component
-    the probe state is returned unchanged and the step is flagged.
-
-    Returns ``(state, IndirectStepInfo)``.
-    """
-    state, (probe, diag, valid, substitute) = _single_step(
-        sys, s, tau, "midpoint_indirect", epsilon)
-    info = IndirectStepInfo(probe=PhaseState(state.t, probe[:sys.n], probe[sys.n:]),
-                            ktilde=EquivalentStiffness(diag=diag, valid=valid),
-                            singular=substitute is None)
-    return state, info
-
-
-def rk4_step(sys: DampedLinearSystem, s: PhaseState, tau: float) -> PhaseState:
-    """One classical 4-stage Runge-Kutta step of ż = (p, -K·q - C·p)."""
-    return _single_step(sys, s, tau, "rk4")[0]
 
 
 @dataclass(frozen=True)
@@ -366,10 +307,6 @@ class Trajectory:
         return len(self.t) - 1
 
     @property
-    def initial(self) -> PhaseState:
-        return PhaseState(self.t[0], self.q[0], self.p[0])
-
-    @property
     def singular(self) -> np.ndarray:
         """Per-step flag: some component of the step's K̃ was singular."""
         return ~self.valid.all(axis=1)
@@ -398,7 +335,10 @@ class Trajectory:
 
 
 def _check_run_args(sys, z0, tau, n_steps, method):
-    _validate_step_args(sys, z0, tau)
+    if z0.n != sys.n:
+        raise DimensionError(f"state dimension {z0.n} does not match system {sys.n}")
+    if not tau > 0.0:
+        raise ValueError(f"step size must be positive, got {tau}")
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -470,7 +410,7 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
                 for k in range(lo, hi):
                     z[k], ks = step(z[k - 1])
                     if ks is not None:
-                        _, ktilde[k - 1], valid[k - 1], substitute = ks
+                        ktilde[k - 1], valid[k - 1], substitute = ks
                         if substitute is not None:
                             pending.append((k, *substitute[0], substitute[1]))
             except SingularMatrixError as exc:

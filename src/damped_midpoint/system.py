@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidStiffnessError
+from .errors import DimensionError
 from .linalg import rowdot
 
 #: Default relative guard below which the equivalent-stiffness quotient is
@@ -178,6 +178,14 @@ def damping_work(sys: DampedLinearSystem, q_from: np.ndarray, q_to: np.ndarray,
 
 def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarray,
                                  tau: float, epsilon: float):
+    """Equivalent stiffness diagonal and validity mask of the step q_k -> q_k1.
+
+    Component i is  Σ_j 2·C_ij·(q_k1[j] - q_k[j]) / (τ·(q_k1[i] + q_k[i])),
+    the position-proportional force matching the damping force at the step
+    midpoint. Where |q_k1[i] + q_k[i]| falls at or below ``epsilon`` times
+    the component scale the quotient is singular: the entry is zero and
+    flagged invalid. Rows of (N, n) coordinate stacks give N steps.
+    """
     delta = q_k1 - q_k
     total = q_k1 + q_k
     scale = np.maximum(np.maximum(np.abs(q_k1), np.abs(q_k)), _FLOOR)
@@ -185,48 +193,6 @@ def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarra
     diag = np.zeros_like(total)
     np.divide(2.0 * _matvec(C, delta), tau * total, out=diag, where=valid)
     return diag, valid
-
-
-def equivalent_stiffness(sys: DampedLinearSystem, q_k, q_k1, tau: float,
-                         epsilon: float = DEFAULT_EPSILON) -> EquivalentStiffness:
-    """Diagonal equivalent stiffness for the step q_k -> q_k1.
-
-    Component i is  Σ_j 2·C_ij·(q_k1[j] - q_k[j]) / (τ·(q_k1[i] + q_k[i])),
-    the position-proportional force matching the damping force at the step
-    midpoint. Where |q_k1[i] + q_k[i]| falls at or below ``epsilon`` times
-    the component scale the quotient is singular: the entry is zeroed and
-    flagged invalid instead of raising or overflowing.
-    """
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
-    q_k = np.atleast_1d(np.asarray(q_k, dtype=float))
-    q_k1 = np.atleast_1d(np.asarray(q_k1, dtype=float))
-    if q_k.shape != (sys.n,) or q_k1.shape != (sys.n,):
-        raise DimensionError(
-            f"coordinate vectors must have length {sys.n}, "
-            f"got {q_k.shape} and {q_k1.shape}"
-        )
-    diag, valid = _equivalent_stiffness_arrays(sys.C, q_k, q_k1, float(tau), float(epsilon))
-    return EquivalentStiffness(diag=diag, valid=valid)
-
-
-def substituting_system(sys: DampedLinearSystem, ks: EquivalentStiffness) -> DampedLinearSystem:
-    """Conservative system q̈ + (K + K̃)·q = 0 sharing the step's motion.
-
-    Requires every component of ``ks`` valid; otherwise raises
-    :class:`InvalidStiffnessError` listing the singular components. The
-    result keeps a symmetric stiffness (K̃ is diagonal) and zero damping.
-    """
-    if ks.diag.shape != (sys.n,):
-        raise DimensionError(
-            f"equivalent stiffness has {ks.diag.shape[0]} components, system has {sys.n}"
-        )
-    if not ks.all_valid:
-        raise InvalidStiffnessError(np.flatnonzero(~ks.valid))
-    label = f"{sys.label}+substituting" if sys.label else "substituting"
-    return DampedLinearSystem(
-        K=sys.K + np.diag(ks.diag), C=np.zeros_like(sys.C), label=label
-    )
 
 
 def analytic_1d(k: float, c: float, q0: float, p0: float, t: float):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,19 @@ import pytest
 import damped_midpoint.cli as cli
 import damped_midpoint.diagnostics as diagnostics
 from damped_midpoint import factored_symplectic_defect, integrate, scheme_factors
-from damped_midpoint.cli import bundled_config_path, config_to_dict, load_config
+from damped_midpoint.cli import bundled_config_path, load_config
 from damped_midpoint.integrators import _verify_chunk
 
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON: ``NaN`` and ``Infinity`` raise."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def read_json(path):
@@ -49,7 +57,15 @@ class TestBundledConfigs:
     def test_round_trip(self, name, tmp_path):
         cfg = load_config(bundled_config_path(name))
         echo = tmp_path / "echo.json"
-        echo.write_text(json.dumps(config_to_dict(cfg)))
+        echo.write_text(json.dumps({
+            "label": cfg.label,
+            "system": {"label": cfg.system.label, "K": cfg.system.K.tolist(),
+                       "C": cfg.system.C.tolist()},
+            "initial": {"t": cfg.initial.t, "q": cfg.initial.q.tolist(),
+                        "p": cfg.initial.p.tolist()},
+            "tau": cfg.tau, "n_steps": cfg.n_steps, "method": cfg.method,
+            "epsilon": cfg.epsilon, "output_prefix": cfg.output_prefix,
+        }))
         cfg2 = load_config(echo)
         assert np.array_equal(cfg.system.K, cfg2.system.K)
         assert np.array_equal(cfg.system.C, cfg2.system.C)
@@ -238,6 +254,32 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "solver"
 
+    def test_overflowing_initial_energy_rejected(self, tmp_path, capsys):
+        """A finite initial state whose energy overflows (½·2·(1e308)²)
+        is a config error, not a run whose artifacts hold ``Infinity``."""
+        base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(f'{base}, "initial": {{"q": [1e308], "p": [0.2]}}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["run", "--config", cfg, "--out", tmp_path / "x", "--steps", 5])
+        assert rc == cli.EXIT_CONFIG
+        error = strict_json(capsys.readouterr().err)["error"]
+        assert error["type"] == "config" and "initial energy" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+    def test_allocation_failure_is_solver_error(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 5.96 GiB for an array with shape (400000001, 2)"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "integrate", no_memory)
+        rc = run_cli(["run", "--config", "paper_1d", "--out", tmp_path / "x"])
+        assert rc == cli.EXIT_SOLVER
+        assert strict_json(capsys.readouterr().err)["error"] == \
+               {"type": "solver", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWriteAtomic:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
@@ -326,6 +368,25 @@ class TestConvergence:
         rows = (tmp_path / "conv.convergence.csv").read_text().splitlines()
         assert len(rows) == 2
         assert rows[1].endswith(",")
+
+    def test_order_of_zero_error_is_null(self, tmp_path):
+        """Errors [0, 5e-324, 0]: no ratio is finite and positive, so no
+        order is written, and no log₂ of zero warns or writes -Infinity."""
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({
+            "system": {"K": [[1.0]], "C": [[3.0]]},
+            "initial": {"q": [0.0], "p": [5e-324]},
+            "tau": 0.5, "n_steps": 2, "method": "rk4",
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["convergence", "--config", cfg, "--out", tmp_path / "conv",
+                            "--levels", 3, "--t-final", 1.0]) == 0
+        rows = strict_json((tmp_path / "conv.convergence.json").read_text())["rows"]
+        assert [row["error"] for row in rows] == [0.0, 5e-324, 0.0]
+        assert [row["observed_order"] for row in rows] == [None, None, None]
+        lines = (tmp_path / "conv.convergence.csv").read_text().splitlines()
+        assert all(line.endswith(",") for line in lines[1:])
 
     def test_non_commensurate_rejected(self, tmp_path, capsys):
         rc = run_cli(["convergence", "--config", "paper_1d",

@@ -8,6 +8,7 @@ import pytest
 import damped_midpoint as dm
 from damped_midpoint import integrators
 from damped_midpoint.errors import DimensionError, IntegrationError, InvalidStiffnessError
+from reference_steps import reference_step
 
 
 def closed_form_step(k, c, tau, q, p):
@@ -20,32 +21,30 @@ def closed_form_step(k, c, tau, q, p):
 
 class TestDirectStep:
     def test_matches_scalar_closed_form(self, sys_1d, z0_1d):
-        out = dm.midpoint_direct_step(sys_1d, z0_1d, 0.2)
+        out = dm.propagate(sys_1d, z0_1d, 0.2, 1)
         q1, p1 = closed_form_step(2.0, 0.05, 0.2, 0.1, 0.2)
         assert abs(out.q[0] - q1) <= 1e-15
         assert abs(out.p[0] - p1) <= 1e-15
 
     def test_closed_form_along_trajectory(self, sys_1d, z0_1d):
-        state = z0_1d
+        tr = dm.integrate(sys_1d, z0_1d, 0.2, 50)
         q, p = 0.1, 0.2
-        for _ in range(50):
-            state = dm.midpoint_direct_step(sys_1d, state, 0.2)
+        for k in range(1, 51):
             q, p = closed_form_step(2.0, 0.05, 0.2, q, p)
-            assert abs(state.q[0] - q) <= 1e-13
-            assert abs(state.p[0] - p) <= 1e-13
+            assert abs(tr.q[k, 0] - q) <= 1e-13
+            assert abs(tr.p[k, 0] - p) <= 1e-13
 
     def test_conserves_quadratic_energy_without_damping(self):
         sys_ = dm.make_system(np.eye(3), np.zeros((3, 3)))
         rng = np.random.default_rng(8)
         state = dm.PhaseState(0.0, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         e0 = dm.total_energy(sys_, state)
-        for _ in range(100):
-            state = dm.midpoint_direct_step(sys_, state, 0.3)
+        state = dm.propagate(sys_, state, 0.3, 100)
         assert dm.total_energy(sys_, state) == pytest.approx(e0, rel=1e-14)
 
     def test_small_step_matches_analytic(self, sys_1d, z0_1d):
         tau = 1e-6
-        out = dm.midpoint_direct_step(sys_1d, z0_1d, tau)
+        out = dm.propagate(sys_1d, z0_1d, tau, 1)
         qa, pa = dm.analytic_1d(2.0, 0.05, 0.1, 0.2, tau)
         assert abs(out.q[0] - qa) <= 1e-15
         assert abs(out.p[0] - pa) <= 1e-15
@@ -53,25 +52,27 @@ class TestDirectStep:
     def test_singular_factor_reported(self):
         # (τ/2)² K = -I makes the factor matrix exactly singular.
         sys_ = dm.make_system([[-4.0]], [[0.0]])
-        with pytest.raises(dm.SingularMatrixError):
-            dm.midpoint_direct_step(sys_, dm.PhaseState(0.0, [1.0], [0.0]), 1.0)
+        with pytest.raises(IntegrationError) as err:
+            dm.propagate(sys_, dm.PhaseState(0.0, [1.0], [0.0]), 1.0, 1)
+        assert err.value.step_index == 1
+        assert isinstance(err.value.__cause__, dm.SingularMatrixError)
 
 
 class TestIndirectStep:
     def test_reproduces_direct_step(self, sys_1d, z0_1d):
-        direct = dm.midpoint_direct_step(sys_1d, z0_1d, 0.2)
-        indirect, info = dm.midpoint_indirect_step(sys_1d, z0_1d, 0.2)
-        assert not info.singular
+        direct = dm.integrate(sys_1d, z0_1d, 0.2, 1, "midpoint_direct")
+        indirect = dm.integrate(sys_1d, z0_1d, 0.2, 1, "midpoint_indirect")
+        assert not indirect.singular[0]
         assert np.max(np.abs(indirect.q - direct.q)) <= 1e-12
         assert np.max(np.abs(indirect.p - direct.p)) <= 1e-12
-        assert info.ktilde.all_valid
+        assert indirect.valid[0].all()
 
     def test_undamped_is_bitwise_identical(self):
         sys_ = dm.make_system(np.diag([2.0, 3.0]), np.zeros((2, 2)))
         state = dm.PhaseState(0.0, [0.3, -0.2], [0.1, 0.4])
-        direct = dm.midpoint_direct_step(sys_, state, 0.1)
-        indirect, info = dm.midpoint_indirect_step(sys_, state, 0.1)
-        assert not info.singular
+        direct = dm.integrate(sys_, state, 0.1, 1, "midpoint_direct")
+        indirect = dm.integrate(sys_, state, 0.1, 1, "midpoint_indirect")
+        assert not indirect.singular[0]
         assert np.array_equal(direct.q, indirect.q)
         assert np.array_equal(direct.p, indirect.p)
 
@@ -82,18 +83,20 @@ class TestIndirectStep:
         sys_ = dm.make_system([[k]], [[c]])
         p0 = -q0 * (2.0 / tau + c)
         state = dm.PhaseState(0.0, [q0], [p0])
-        out, info = dm.midpoint_indirect_step(sys_, state, tau)
-        assert info.singular
-        assert not info.ktilde.valid[0]
-        assert np.array_equal(out.q, info.probe.q)
-        assert np.array_equal(out.p, info.probe.p)
+        out = dm.integrate(sys_, state, tau, 1, "midpoint_indirect")
+        probe = dm.integrate(sys_, state, tau, 1, "midpoint_direct")
+        assert out.singular[0]
+        assert not out.valid[0, 0] and out.ktilde[0, 0] == 0.0
+        assert np.isnan(out.defect_indirect[0])
+        assert np.array_equal(out.q, probe.q)
+        assert np.array_equal(out.p, probe.p)
         assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
 
 
 class TestRk4Step:
     def test_harmonic_taylor_accuracy(self):
         sys_ = dm.make_system([[1.0]], [[0.0]])
-        out = dm.rk4_step(sys_, dm.PhaseState(0.0, [1.0], [0.0]), 0.1)
+        out = dm.propagate(sys_, dm.PhaseState(0.0, [1.0], [0.0]), 0.1, 1, "rk4")
         assert out.q[0] == pytest.approx(np.cos(0.1), abs=1e-7)
         assert out.p[0] == pytest.approx(-np.sin(0.1), abs=1e-7)
 
@@ -106,8 +109,8 @@ class TestRk4Step:
     def test_linearity_exact_for_power_of_two_scale(self, sys_2d):
         state = dm.PhaseState(0.0, [0.1, -0.2], [0.3, 0.05])
         scaled = dm.PhaseState(0.0, 2.0 * state.q, 2.0 * state.p)
-        out = dm.rk4_step(sys_2d, state, 0.2)
-        out_scaled = dm.rk4_step(sys_2d, scaled, 0.2)
+        out = dm.propagate(sys_2d, state, 0.2, 1, "rk4")
+        out_scaled = dm.propagate(sys_2d, scaled, 0.2, 1, "rk4")
         assert np.array_equal(out_scaled.q, 2.0 * out.q)
         assert np.array_equal(out_scaled.p, 2.0 * out.p)
 
@@ -115,8 +118,8 @@ class TestRk4Step:
         state = dm.PhaseState(0.0, [0.1, -0.2], [0.3, 0.05])
         alpha = 1.7
         scaled = dm.PhaseState(0.0, alpha * state.q, alpha * state.p)
-        out = dm.rk4_step(sys_2d, state, 0.2)
-        out_scaled = dm.rk4_step(sys_2d, scaled, 0.2)
+        out = dm.propagate(sys_2d, state, 0.2, 1, "rk4")
+        out_scaled = dm.propagate(sys_2d, scaled, 0.2, 1, "rk4")
         assert np.allclose(out_scaled.q, alpha * out.q, rtol=1e-14)
         assert np.allclose(out_scaled.p, alpha * out.p, rtol=1e-14)
 
@@ -131,15 +134,14 @@ class TestTransitionMatrices:
         assert pair.defect_indirect <= 1e-12
 
     def test_paper_1d_verdicts(self, sys_1d, z0_1d):
-        _, info = dm.midpoint_indirect_step(sys_1d, z0_1d, 0.2)
-        pair = dm.transition_matrices(sys_1d, info.ktilde, 0.2)
+        tr = dm.integrate(sys_1d, z0_1d, 0.2, 1, "midpoint_indirect")
+        pair = dm.transition_matrices(sys_1d, tr.steps[0].ktilde, 0.2)
         assert pair.defect_direct > 1e-6
         assert pair.defect_indirect <= 1e-10
 
     def test_paper_2d_factor_pair_check(self, sys_2d, z0_2d):
-        _, info = dm.midpoint_indirect_step(sys_2d, z0_2d, 0.2)
-        m2, n2 = dm.scheme_factors(sys_2d.K + np.diag(info.ktilde.diag),
-                                   np.zeros((2, 2)), 0.2)
+        tr = dm.integrate(sys_2d, z0_2d, 0.2, 1, "midpoint_indirect")
+        m2, n2 = dm.scheme_factors(sys_2d.K + np.diag(tr.ktilde[0]), np.zeros((2, 2)), 0.2)
         assert dm.factored_symplectic_defect(m2, n2) <= 1e-12
 
     def test_paper_1d_direct_factors_fail_check(self, sys_1d):
@@ -161,7 +163,7 @@ class TestTransitionMatrices:
 
     def test_transition_matrix_actually_advances_state(self, sys_2d, z0_2d):
         pair = dm.transition_matrices(sys_2d, None, 0.2)
-        stepped = dm.midpoint_direct_step(sys_2d, z0_2d, 0.2)
+        stepped = dm.propagate(sys_2d, z0_2d, 0.2, 1)
         z1 = pair.direct @ np.concatenate((z0_2d.q, z0_2d.p))
         assert np.allclose(z1[:2], stepped.q, rtol=1e-13, atol=1e-16)
         assert np.allclose(z1[2:], stepped.p, rtol=1e-13, atol=1e-16)
@@ -169,11 +171,13 @@ class TestTransitionMatrices:
 
 class TestIntegrate:
     def test_single_step_reproduces_step_operation(self, sys_1d, z0_1d):
-        tr = dm.integrate(sys_1d, z0_1d, 0.2, 1, "midpoint_direct")
-        single = dm.midpoint_direct_step(sys_1d, z0_1d, 0.2)
-        assert tr.n_steps == 1
-        assert np.array_equal(tr.steps[0].state.q, single.q)
-        assert np.array_equal(tr.steps[0].state.p, single.p)
+        z0 = np.concatenate((z0_1d.q, z0_1d.p))
+        for method in dm.METHODS:
+            tr = dm.integrate(sys_1d, z0_1d, 0.2, 1, method)
+            single, _ = reference_step(sys_1d, z0, 0.2, method)
+            assert tr.n_steps == 1
+            assert np.array_equal(tr.steps[0].state.q, single[:1])
+            assert np.array_equal(tr.steps[0].state.p, single[1:])
 
     def test_energy_monotone_on_damped_run(self, sys_1d, z0_1d):
         tr = dm.integrate(sys_1d, z0_1d, 0.2, 250, "midpoint_direct")
@@ -267,22 +271,17 @@ class TestTrajectoryArrays:
     @pytest.mark.parametrize("method", dm.METHODS)
     def test_arrays_match_step_api_across_flushes(self, system, method, sys_2d, z0_2d):
         sys_, z0 = (sys_2d, z0_2d) if system == "paper_2d" else seeded_system()
-        steps = integrators._verify_chunk(sys_.n) + 3
+        n = sys_.n
+        steps = integrators._verify_chunk(n) + 3
         tr = dm.integrate(sys_, z0, 0.2, steps, method)
-        state = z0
+        z = np.concatenate((z0.q, z0.p))
         for k in range(steps):
-            if method == "midpoint_indirect":
-                state, info = dm.midpoint_indirect_step(sys_, state, 0.2)
-                ks = info.ktilde
-            else:
-                step = dm.midpoint_direct_step if method == "midpoint_direct" else dm.rk4_step
-                following = step(sys_, state, 0.2)
-                ks = dm.equivalent_stiffness(sys_, state.q, following.q, 0.2)
-                assert tr.work[k] == dm.damping_work(sys_, state.q, following.q, 0.2)
-                state = following
-            assert np.array_equal(tr.q[k + 1], state.q)
-            assert np.array_equal(tr.p[k + 1], state.p)
-            assert tr.energy[k] == dm.total_energy(sys_, state)
+            following, ks = reference_step(sys_, z, 0.2, method)
+            assert tr.work[k] == dm.damping_work(sys_, z[:n], following[:n], 0.2)
+            z = following
+            assert np.array_equal(tr.q[k + 1], z[:n])
+            assert np.array_equal(tr.p[k + 1], z[n:])
+            assert tr.energy[k] == dm.total_energy(sys_, dm.PhaseState(0.0, z[:n], z[n:]))
             assert np.array_equal(tr.ktilde[k], ks.diag)
             assert ks.all_valid
             assert tr.defect_indirect[k] == dm.transition_matrices(sys_, ks, 0.2).defect_indirect

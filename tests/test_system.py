@@ -5,6 +5,16 @@ import pytest
 
 import damped_midpoint as dm
 from damped_midpoint.errors import DimensionError, InvalidStiffnessError
+from damped_midpoint.integrators import _substituting_pairs
+from damped_midpoint.system import _equivalent_stiffness_arrays
+
+
+def equivalent_stiffness(sys_, q_k, q_k1, tau):
+    """K̃ of the step q_k -> q_k1 at the default guard."""
+    diag, valid = _equivalent_stiffness_arrays(sys_.C, np.asarray(q_k, dtype=float),
+                                               np.asarray(q_k1, dtype=float), tau,
+                                               dm.DEFAULT_EPSILON)
+    return dm.EquivalentStiffness(diag=diag, valid=valid)
 
 
 def closed_form_step(k, c, tau, q, p):
@@ -108,7 +118,7 @@ class TestTotalEnergy:
 class TestEquivalentStiffness:
     def test_undamped_gives_zero(self):
         s = dm.make_system(np.eye(2), np.zeros((2, 2)))
-        ks = dm.equivalent_stiffness(s, [0.1, 0.2], [0.15, 0.25], 0.1)
+        ks = equivalent_stiffness(s, [0.1, 0.2], [0.15, 0.25], 0.1)
         assert np.array_equal(ks.diag, np.zeros(2))
         assert ks.all_valid
 
@@ -116,12 +126,12 @@ class TestEquivalentStiffness:
         # q1 from the closed-form oracle; the quotient then reduces to the
         # exact rational 18/241.
         q1, _ = closed_form_step(2.0, 0.05, 0.2, 0.1, 0.2)
-        ks = dm.equivalent_stiffness(sys_1d, [0.1], [q1], 0.2)
+        ks = equivalent_stiffness(sys_1d, [0.1], [q1], 0.2)
         assert ks.all_valid
         assert ks.diag[0] == pytest.approx(18.0 / 241.0, abs=1e-13)
 
     def test_midpoint_zero_crossing_flagged(self, sys_1d):
-        ks = dm.equivalent_stiffness(sys_1d, [0.1], [-0.1], 0.2)
+        ks = equivalent_stiffness(sys_1d, [0.1], [-0.1], 0.2)
         assert not ks.valid[0]
         assert ks.diag[0] == 0.0
 
@@ -129,8 +139,8 @@ class TestEquivalentStiffness:
         doubled = dm.make_system(sys_2d.K, 2.0 * sys_2d.C)
         q_k = np.array([0.11, -0.07])
         q_k1 = np.array([0.13, -0.02])
-        base = dm.equivalent_stiffness(sys_2d, q_k, q_k1, 0.2)
-        twice = dm.equivalent_stiffness(doubled, q_k, q_k1, 0.2)
+        base = equivalent_stiffness(sys_2d, q_k, q_k1, 0.2)
+        twice = equivalent_stiffness(doubled, q_k, q_k1, 0.2)
         assert np.allclose(twice.diag, 2.0 * base.diag, rtol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -143,7 +153,7 @@ class TestEquivalentStiffness:
             q_k = rng.uniform(0.1, 1.0, n)
             q_k1 = rng.uniform(0.1, 1.0, n)
             tau = rng.uniform(0.05, 0.5)
-            ks = dm.equivalent_stiffness(sys_, q_k, q_k1, tau)
+            ks = equivalent_stiffness(sys_, q_k, q_k1, tau)
             assert ks.all_valid
             elastic = ks.diag * 0.5 * (q_k + q_k1)
             damping = sys_.C @ (q_k1 - q_k) / tau
@@ -151,28 +161,39 @@ class TestEquivalentStiffness:
                 np.abs(damping) + 1e-300)
 
     def test_dimension_mismatch(self, sys_1d):
+        ks = dm.EquivalentStiffness(diag=[0.1, 0.2], valid=[True, True])
         with pytest.raises(DimensionError):
-            dm.equivalent_stiffness(sys_1d, [0.1, 0.2], [0.1, 0.2], 0.2)
+            dm.transition_matrices(sys_1d, ks, 0.2)
 
 
 class TestSubstitutingSystem:
-    def test_zero_stiffness_returns_undamped_skeleton(self, sys_1d):
-        ks = dm.EquivalentStiffness(diag=[0.0], valid=[True])
-        sub = dm.substituting_system(sys_1d, ks)
-        assert np.array_equal(sub.K, sys_1d.K)
-        assert np.array_equal(sub.C, np.zeros((1, 1)))
-        assert sub.monotone_energy_certified
+    """The substituting scheme: stiffness K + K̃ and no damping."""
+
+    def test_zero_stiffness_returns_undamped_skeleton(self, sys_2d):
+        m, nn = _substituting_pairs(sys_2d.K, 0.2)(np.zeros(2))
+        m0, n0 = dm.scheme_factors(sys_2d.K, np.zeros((2, 2)), 0.2)
+        assert np.array_equal(m, m0) and np.array_equal(nn, n0)
+        ks = dm.EquivalentStiffness(diag=np.zeros(2), valid=np.ones(2, bool))
+        undamped = dm.make_system(sys_2d.K, np.zeros((2, 2)))
+        assert np.array_equal(dm.transition_matrices(sys_2d, ks, 0.2).indirect,
+                              dm.transition_matrices(undamped, None, 0.2).direct)
 
     def test_paper_1d_composed_value(self, sys_1d):
         q1, _ = closed_form_step(2.0, 0.05, 0.2, 0.1, 0.2)
-        ks = dm.equivalent_stiffness(sys_1d, [0.1], [q1], 0.2)
-        sub = dm.substituting_system(sys_1d, ks)
-        assert sub.K[0, 0] == pytest.approx(2.0 + 18.0 / 241.0, abs=1e-13)
+        ks = equivalent_stiffness(sys_1d, [0.1], [q1], 0.2)
+        m, nn = _substituting_pairs(sys_1d.K, 0.2)(ks.diag)
+        # Lower-left blocks ±(τ/2)·(K + K̃), with K + K̃ = 2 + 18/241.
+        assert m[1, 0] / 0.1 == pytest.approx(2.0 + 18.0 / 241.0, abs=1e-13)
+        assert nn[1, 0] == -m[1, 0]
+        composed = dm.make_system([[2.0 + 18.0 / 241.0]], [[0.0]])
+        assert np.allclose(dm.transition_matrices(sys_1d, ks, 0.2).indirect,
+                           dm.transition_matrices(composed, None, 0.2).direct,
+                           rtol=1e-13, atol=0.0)
 
     def test_invalid_entry_lists_indices(self, sys_2d):
         ks = dm.EquivalentStiffness(diag=[0.5, 0.0], valid=[True, False])
         with pytest.raises(InvalidStiffnessError) as err:
-            dm.substituting_system(sys_2d, ks)
+            dm.transition_matrices(sys_2d, ks, 0.2)
         assert err.value.indices == (1,)
 
 
@@ -218,7 +239,7 @@ class TestAnalytic1d:
         tau = 1e-4
         cols = []
         for e in np.eye(2):
-            out = dm.rk4_step(sys_1d, dm.PhaseState(0.0, [e[0]], [e[1]]), tau)
+            out = dm.propagate(sys_1d, dm.PhaseState(0.0, [e[0]], [e[1]]), tau, 1, "rk4")
             cols.append([out.q[0], out.p[0]])
         r = np.array(cols).T
         z = np.linalg.matrix_power(r, 100000) @ np.array([z0_1d.q[0], z0_1d.p[0]])
