@@ -46,7 +46,8 @@ EXIT_SOLVER = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully-resolved run: system, initial state, stepping parameters."""
+    """One fully-resolved run, as ``load_config`` checked it: system,
+    initial state, stepping parameters."""
 
     system: DampedLinearSystem
     initial: PhaseState
@@ -56,28 +57,6 @@ class RunConfig:
     epsilon: float
     output_prefix: str | None
     label: str
-
-    def validate(self) -> "RunConfig":
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.method not in METHODS:
-            raise ConfigError(
-                f"method must be one of {list(METHODS)}, got {self.method!r}"
-            )
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.initial.n != self.system.n:
-            raise ConfigError(
-                f"initial condition has {self.initial.n} components, "
-                f"system has {self.system.n}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy = total_energy(self.system, self.initial)
-        if not np.isfinite(energy):
-            raise ConfigError(f"initial energy is {energy}, not a finite number")
-        return self
 
 
 def bundled_config_path(name: str) -> Path:
@@ -162,7 +141,8 @@ def _text(obj: dict, key: str, default=None) -> str | None:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse a JSON run configuration, resolving bundled names and overrides."""
+    """Parse and check a JSON run configuration, resolving bundled names and
+    overrides; any field it rejects raises :class:`ConfigError`."""
     path = Path(path)
     if not path.exists():
         bundled = bundled_config_path(path.name)
@@ -196,17 +176,27 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(
                 f"tau*n_steps = {tau * n_steps!r} does not match horizon {horizon!r}"
             )
-    cfg = RunConfig(
-        system=system,
-        initial=initial,
-        tau=tau,
-        n_steps=n_steps,
-        method=_text(raw, "method", "midpoint_direct"),
-        epsilon=epsilon,
-        output_prefix=_text(raw, "output_prefix"),
-        label=_text(raw, "label", path.stem),
-    )
-    return cfg.validate()
+    method = _text(raw, "method", "midpoint_direct")
+    output_prefix = _text(raw, "output_prefix")
+    label = _text(raw, "label", path.stem)
+    if not tau > 0.0:
+        raise ConfigError(f"tau must be positive, got {tau}")
+    if n_steps < 1:
+        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    if method not in METHODS:
+        raise ConfigError(f"method must be one of {list(METHODS)}, got {method!r}")
+    if not epsilon > 0.0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if initial.n != system.n:
+        raise ConfigError(
+            f"initial condition has {initial.n} components, system has {system.n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = total_energy(system, initial)
+    if not np.isfinite(energy):
+        raise ConfigError(f"initial energy is {energy}, not a finite number")
+    return RunConfig(system=system, initial=initial, tau=tau, n_steps=n_steps,
+                     method=method, epsilon=epsilon, output_prefix=output_prefix,
+                     label=label)
 
 
 # --- formatting and atomic output -----------------------------------------
@@ -262,11 +252,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _prepare_prefix(prefix: str) -> Path:
+def _write_artifacts(prefix: str, kinds: tuple[str, str], csv_text: str,
+                     summary: dict) -> int:
+    """Write ``<prefix>.<kinds[0]>.csv`` and the JSON ``summary``, with both
+    paths as its ``files``, to ``<prefix>.<kinds[1]>.json``, making the
+    prefix's directory; print the one ``wrote`` line of a subcommand."""
     path = Path(prefix)
     if path.parent != Path(""):
         os.makedirs(path.parent, exist_ok=True)
-    return path
+    csv_path = path.with_name(f"{path.name}.{kinds[0]}.csv")
+    json_path = path.with_name(f"{path.name}.{kinds[1]}.json")
+    _write_atomic(csv_path, csv_text)
+    summary["files"] = [str(csv_path), str(json_path)]
+    _write_atomic(json_path, _json_text(summary))
+    print(f"wrote {csv_path} and {json_path}")
+    return EXIT_OK
 
 
 # --- artifact builders ------------------------------------------------------
@@ -326,16 +326,9 @@ def cmd_run(cfg: RunConfig, prefix: str) -> int:
     tr = integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, cfg.method,
                    cfg.epsilon)
     wall = time.perf_counter() - t0
-    path = _prepare_prefix(prefix)
-    csv_path = path.with_name(path.name + ".trajectory.csv")
-    json_path = path.with_name(path.name + ".summary.json")
     report = energy_report(tr)
-    _write_atomic(csv_path, trajectory_csv(tr, report))
-    summary = run_summary(cfg, tr, report, wall)
-    summary["files"] = [str(csv_path), str(json_path)]
-    _write_atomic(json_path, _json_text(summary))
-    print(f"wrote {csv_path} and {json_path}")
-    return EXIT_OK
+    return _write_artifacts(prefix, ("trajectory", "summary"), trajectory_csv(tr, report),
+                            run_summary(cfg, tr, report, wall))
 
 
 def _period_or_none(tr: Trajectory):
@@ -385,14 +378,7 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
         "singular_steps": {name: reports[name].singular_steps for name in runs},
         "wall_time_s": wall,
     }
-    path = _prepare_prefix(prefix)
-    csv_path = path.with_name(path.name + ".compare.csv")
-    json_path = path.with_name(path.name + ".compare.json")
-    _write_atomic(csv_path, _csv(header, columns))
-    summary["files"] = [str(csv_path), str(json_path)]
-    _write_atomic(json_path, _json_text(summary))
-    print(f"wrote {csv_path} and {json_path}")
-    return EXIT_OK
+    return _write_artifacts(prefix, ("compare", "compare"), _csv(header, columns), summary)
 
 
 def cmd_convergence(cfg: RunConfig, prefix: str, tau_max: float, levels: int,
@@ -402,21 +388,15 @@ def cmd_convergence(cfg: RunConfig, prefix: str, tau_max: float, levels: int,
                               cfg.method, cfg.epsilon)
     columns = [[getattr(row, name) for row in table.rows]
                for name in ("tau", "error", "observed_order")]
-    path = _prepare_prefix(prefix)
-    csv_path = path.with_name(path.name + ".convergence.csv")
-    json_path = path.with_name(path.name + ".convergence.json")
-    _write_atomic(csv_path, _csv(["tau", "error", "observed_order"], columns))
-    _write_atomic(json_path, _json_text({
+    return _write_artifacts(prefix, ("convergence", "convergence"),
+                            _csv(["tau", "error", "observed_order"], columns), {
         "label": cfg.label,
         "method": cfg.method,
         "reference": table.reference,
         "t_final": t_final,
         "rows": [{"tau": r.tau, "error": r.error, "observed_order": r.observed_order}
                  for r in table.rows],
-        "files": [str(csv_path), str(json_path)],
-    }))
-    print(f"wrote {csv_path} and {json_path}")
-    return EXIT_OK
+    })
 
 
 def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
@@ -453,13 +433,13 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
     worst = {"direct": {"ratio": direct[1], "step": 1},
              "indirect": {"ratio": indirect[1], "step": None if indirect[2] is None
                           else int(nonsingular_steps[indirect[2]]) + 1}}
-    path = _prepare_prefix(prefix)
-    csv_path = path.with_name(path.name + ".symplectic.csv")
-    json_path = path.with_name(path.name + ".symplectic.json")
-    _write_atomic(csv_path, _csv(
+    for family, word in verdicts.items():
+        peak = defect_direct_max if family == "direct" else defect_indirect_max
+        detail = "no non-singular steps" if peak is None else f"max defect {peak:.3e}"
+        print(f"{family} transition family: {word} ({detail})")
+    return _write_artifacts(prefix, ("symplectic", "symplectic"), _csv(
         ["step", "t", "defect_direct", "defect_indirect", "factor_defect_direct",
-         "factor_defect_indirect", "singular"], columns))
-    _write_atomic(json_path, _json_text({
+         "factor_defect_indirect", "singular"], columns), {
         "label": cfg.label,
         "method": cfg.method,
         "tau": cfg.tau,
@@ -470,14 +450,7 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         "defect_indirect_max": defect_indirect_max,
         "singular_steps": tr.n_steps - nonsingular,
         "verdicts": verdicts,
-        "files": [str(csv_path), str(json_path)],
-    }))
-    for family, word in verdicts.items():
-        peak = defect_direct_max if family == "direct" else defect_indirect_max
-        detail = "no non-singular steps" if peak is None else f"max defect {peak:.3e}"
-        print(f"{family} transition family: {word} ({detail})")
-    print(f"wrote {csv_path} and {json_path}")
-    return EXIT_OK
+    })
 
 
 # --- argument parsing -------------------------------------------------------

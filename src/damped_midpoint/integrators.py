@@ -334,7 +334,12 @@ class Trajectory:
         return [PhaseState(t, q, p) for t, q, p in zip(self.t, self.q, self.p)]
 
 
-def _check_run_args(sys, z0, tau, n_steps, method):
+def _start(sys, z0, tau, n_steps, method, epsilon):
+    """Checked arguments and stepper of one run: ``(n_steps, tau, direct,
+    step)``, with ``direct`` the direct scheme's ``(factorization, N)``
+    and ``step`` the ``_step_kernel`` of ``method``. A singular direct
+    factor fails the run with :class:`IntegrationError` at step 1, for
+    every method."""
     if z0.n != sys.n:
         raise DimensionError(f"state dimension {z0.n} does not match system {sys.n}")
     if not tau > 0.0:
@@ -344,7 +349,13 @@ def _check_run_args(sys, z0, tau, n_steps, method):
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return n_steps
+    tau = float(tau)
+    try:
+        direct = _midpoint_solver(sys.K, sys.C, tau)
+    except SingularMatrixError as exc:
+        raise IntegrationError(1, str(exc)) from exc
+    return n_steps, tau, direct, _step_kernel(sys.K, sys.C, tau, method,
+                                              float(epsilon), direct)
 
 
 def _substituting_factors(pairs, diags, steps):
@@ -378,19 +389,12 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     verification factor aborts with :class:`IntegrationError` carrying
     the lowest failing 1-based step index.
     """
-    n_steps = _check_run_args(sys, z0, tau, n_steps, method)
-    tau = float(tau)
-    epsilon = float(epsilon)
+    n_steps, tau, direct, step = _start(sys, z0, tau, n_steps, method, epsilon)
     K, C, n = sys.K, sys.C, sys.n
     form = symplectic_form(n)
-    try:
-        direct = _midpoint_solver(K, C, tau)
-        f_direct = linalg.lu_solve(*direct)
-    except SingularMatrixError as exc:
-        raise IntegrationError(1, str(exc)) from exc
+    f_direct = linalg.lu_solve(*direct)
     defect_direct = symplectic_defect(f_direct, form)
     norm2_direct = frobenius_squared(f_direct)
-    step = _step_kernel(K, C, tau, method, epsilon, direct)
     if method != "midpoint_indirect":
         pairs = _substituting_pairs(K, tau)
     z = np.empty((n_steps + 1, 2 * n))
@@ -427,7 +431,7 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
                 factorization = (lus, perms)
         else:
             ktilde[lo - 1:hi - 1], valid[lo - 1:hi - 1] = _equivalent_stiffness_arrays(
-                C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, epsilon)
+                C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, float(epsilon))
             steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
             if steps.size:
                 factorization, rhs = _substituting_factors(pairs, ktilde[steps - 1], steps)
@@ -465,16 +469,7 @@ def propagate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     or a step fails is the run replayed step by step, so the
     :class:`IntegrationError` names the first failing step.
     """
-    n_steps = _check_run_args(sys, z0, tau, n_steps, method)
-    tau = float(tau)
-    epsilon = float(epsilon)
-    direct = None
-    if method != "rk4":
-        try:
-            direct = _midpoint_solver(sys.K, sys.C, tau)
-        except SingularMatrixError as exc:
-            raise IntegrationError(1, str(exc)) from exc
-    step = _step_kernel(sys.K, sys.C, tau, method, epsilon, direct)
+    n_steps, tau, _, step = _start(sys, z0, tau, n_steps, method, epsilon)
     start = np.concatenate((z0.q, z0.p))
     z = start
     failure = None

@@ -97,7 +97,7 @@ def rowdot(a: np.ndarray, b: np.ndarray):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def lu_factor(a, rtol: float = PIVOT_RTOL):
+def lu_factor(a):
     """Factor ``a`` as P·A = L·U with partial pivoting.
 
     ``a`` is one (m, m) matrix or a stack of N of them, (N, m, m). A stack
@@ -108,8 +108,8 @@ def lu_factor(a, rtol: float = PIVOT_RTOL):
     Returns ``(lu, perm)`` where ``lu`` packs the unit-lower and upper
     triangles and ``perm`` is the row permutation, shaped like ``a``
     without its last axis. Raises :class:`SingularMatrixError` with the
-    offending pivot magnitude when a pivot falls at or below ``rtol``-scaled
-    the largest entry of its matrix; in a stack the error is the one of
+    offending pivot magnitude when a pivot falls at or below ``PIVOT_RTOL``
+    times the largest entry of its matrix; in a stack the error is the one of
     the first failing matrix, whose position it carries as ``index``.
     """
     lu = np.array(a, dtype=float)
@@ -117,9 +117,9 @@ def lu_factor(a, rtol: float = PIVOT_RTOL):
         raise DimensionError(
             f"expected a square matrix or a stack of them, got shape {lu.shape}")
     if lu.ndim == 2:
-        return _lu_factor_one(lu, rtol)
+        return _lu_factor_one(lu)
     m = lu.shape[-1]
-    threshold = rtol * np.maximum(np.abs(lu).max(axis=(1, 2), initial=0.0), _TINY)
+    threshold = PIVOT_RTOL * np.maximum(np.abs(lu).max(axis=(1, 2), initial=0.0), _TINY)
     perm = np.tile(np.arange(m), (len(lu), 1))
     # A matrix whose pivot fails is reported below, after its later
     # columns have divided by that pivot; those values are discarded.
@@ -148,7 +148,7 @@ def lu_factor(a, rtol: float = PIVOT_RTOL):
     return lu, perm
 
 
-def _lu_factor_one(lu: np.ndarray, rtol: float):
+def _lu_factor_one(lu: np.ndarray):
     """``lu_factor`` of one (m, m) matrix, in place: the stacked kernel's
     operations on a single item. The first pivot at or below the
     threshold raises, with the value the stacked kernel reports.
@@ -157,7 +157,7 @@ def _lu_factor_one(lu: np.ndarray, rtol: float):
     keeps rows 0..n-1 as its first n pivots, so only its Schur block
     S = I - A·D is factored; rows n.. of L are A permuted by S's pivots.
     """
-    threshold = rtol * np.maximum(np.abs(lu).max(initial=0.0), _TINY)
+    threshold = PIVOT_RTOL * np.maximum(np.abs(lu).max(initial=0.0), _TINY)
     n = _scheme_half(lu, threshold)
     if not n:
         return _lu_rows(lu, threshold)
@@ -405,7 +405,7 @@ def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
     return structured
 
 
-def solve(a, b, rtol: float = PIVOT_RTOL) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve the dense system A·x = b by LU with partial pivoting.
 
     Parameters
@@ -418,7 +418,7 @@ def solve(a, b, rtol: float = PIVOT_RTOL) -> np.ndarray:
     Raises
     ------
     SingularMatrixError
-        If elimination meets a pivot at or below ``rtol * max|a|``; the
+        If elimination meets a pivot at or below ``PIVOT_RTOL * max|a|``; the
         exception reports the pivot magnitude.
     """
-    return lu_solve(lu_factor(a, rtol), b)
+    return lu_solve(lu_factor(a), b)

@@ -61,14 +61,15 @@ class DampedLinearSystem:
             )
         if not np.all(np.isfinite(k)) or not np.all(np.isfinite(c)):
             raise ValueError("system matrices must be finite")
-        asym = float(np.max(np.abs(k - k.T)))
+        with np.errstate(over="ignore"):   # an inf asymmetry still rejects K
+            asym = float(np.max(np.abs(k - k.T)))
         scale = max(float(np.max(np.abs(k))), _FLOOR)
         if asym > _SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"stiffness must be symmetric: max |K - K^T| = {asym:.3e} "
                 f"exceeds {_SYMMETRY_RTOL:.0e} relative"
             )
-        sym = 0.5 * (c + c.T)
+        sym = 0.5 * c + 0.5 * c.T   # 0.5 * (c + c.T) on normal floats, without overflow
         smallest = float(np.linalg.eigvalsh(sym)[0])
         certified = smallest >= -_PSD_TOL * max(1.0, float(np.max(np.abs(sym))))
         object.__setattr__(self, "K", _frozen(k))

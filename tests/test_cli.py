@@ -281,6 +281,47 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestArtifacts:
+    """What every subcommand writes and prints: one CSV and one JSON next
+    to the prefix, the JSON's ``files`` naming both, and one ``wrote``
+    line after any verdict lines; a failed run writes nothing."""
+
+    @pytest.mark.parametrize("sub, csv_kind, json_kind", [
+        ("run", "trajectory", "summary"),
+        ("compare", "compare", "compare"),
+        ("convergence", "convergence", "convergence"),
+        ("check-symplectic", "symplectic", "symplectic"),
+    ])
+    def test_files_and_stdout(self, tmp_path, capsys, sub, csv_kind, json_kind):
+        prefix = tmp_path / "new" / "p"
+        assert run_cli([sub, "--config", "paper_1d", "--out", prefix, "--steps", 20]) == 0
+        csv_path = prefix.with_name(f"p.{csv_kind}.csv")
+        json_path = prefix.with_name(f"p.{json_kind}.json")
+        assert sorted(prefix.parent.iterdir()) == sorted({csv_path, json_path})
+        summary = strict_json(json_path.read_text(encoding="utf-8"))
+        assert summary["files"] == [str(csv_path), str(json_path)]
+        lines = [f"wrote {csv_path} and {json_path}"]
+        if sub == "check-symplectic":
+            lines[:0] = [f"{family} transition family: {summary['verdicts'][family]} "
+                         f"(max defect {summary[f'defect_{family}_max']:.3e})"
+                         for family in ("direct", "indirect")]
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("sub", ["run", "compare", "check-symplectic"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, sub):
+        config = tmp_path / "unstable.json"
+        config.write_text(json.dumps({
+            "system": {"K": [[1.0]], "C": [[-5.0]]},
+            "initial": {"q": [0.1], "p": [0.2]},
+            "tau": 0.5,
+            "n_steps": 400,
+        }))
+        rc = run_cli([sub, "--config", config, "--out", tmp_path / "new" / "x"])
+        assert rc == cli.EXIT_SOLVER
+        assert json.loads(capsys.readouterr().err)["error"]["step"] == 296
+        assert [p.name for p in tmp_path.iterdir()] == ["unstable.json"]
+
+
 class TestWriteAtomic:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out.csv"

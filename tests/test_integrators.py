@@ -228,6 +228,18 @@ class TestIntegrate:
             dm.integrate(sys_, dm.PhaseState(0.0, [1.0], [0.0]), 1.0, 5)
         assert err.value.step_index == 1
 
+    @pytest.mark.parametrize("method", dm.METHODS)
+    @pytest.mark.parametrize("run", [dm.integrate, dm.propagate])
+    def test_singular_direct_factor_fails_every_method(self, run, method):
+        """K = 0, C = -2, τ = 1: the midpoint factor [[1, -1/2], [-2, 1]]
+        is exactly singular, so both entry points fail at step 1 even for
+        RK4, which never solves with it."""
+        sys_ = dm.make_system([[0.0]], [[-2.0]])
+        with pytest.raises(IntegrationError) as err:
+            run(sys_, dm.PhaseState(0.0, [1.0], [0.0]), 1.0, 3, method)
+        assert err.value.step_index == 1
+        assert isinstance(err.value.__cause__, dm.SingularMatrixError)
+
     def test_rejects_bad_arguments(self, sys_1d, z0_1d):
         with pytest.raises(ValueError):
             dm.integrate(sys_1d, z0_1d, 0.2, 0)

@@ -72,6 +72,16 @@ class TestConstruction:
         with pytest.raises(DimensionError, match="degrees of freedom"):
             dm.make_system(np.zeros((0, 0)), np.zeros((0, 0)))
 
+    def test_huge_damping_does_not_warn(self):
+        """C + Cᵀ overflows at 1e308; its symmetric part does not."""
+        s = dm.make_system([[1.0]], [[1e308]])
+        assert s.monotone_energy_certified
+
+    def test_overflowing_asymmetry_rejected_without_warning(self):
+        """K - Kᵀ overflows to inf here, which still rejects K."""
+        with pytest.raises(ValueError, match="symmetric"):
+            dm.make_system([[0.0, 1e308], [-1e308, 0.0]], np.zeros((2, 2)))
+
     def test_asymmetric_damping_allowed(self):
         s = dm.make_system(np.eye(2), [[0.1, 0.2], [0.0, 0.1]])
         assert s.n == 2
