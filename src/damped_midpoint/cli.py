@@ -17,6 +17,7 @@ so identical configurations produce byte-identical CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,22 +250,37 @@ def _csv(header: list[str], columns) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON (RFC 8259). A float that is not finite is written as
+    null: a derived statistic can be, such as the defect maximum of a run
+    whose K̃ is 0/0, while a non-finite ledger fails the run before."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
 
 
 def _write_artifacts(prefix: str, kinds: tuple[str, str], csv_text: str,
                      summary: dict) -> int:
     """Write ``<prefix>.<kinds[0]>.csv`` and the JSON ``summary``, with both
     paths as its ``files``, to ``<prefix>.<kinds[1]>.json``, making the
-    prefix's directory; print the one ``wrote`` line of a subcommand."""
+    prefix's directory; print the one ``wrote`` line of a subcommand. The
+    JSON is serialised first, so a summary it cannot hold writes nothing."""
     path = Path(prefix)
-    if path.parent != Path(""):
-        os.makedirs(path.parent, exist_ok=True)
     csv_path = path.with_name(f"{path.name}.{kinds[0]}.csv")
     json_path = path.with_name(f"{path.name}.{kinds[1]}.json")
-    _write_atomic(csv_path, csv_text)
     summary["files"] = [str(csv_path), str(json_path)]
-    _write_atomic(json_path, _json_text(summary))
+    json_text = _json_text(summary)
+    if path.parent != Path(""):
+        os.makedirs(path.parent, exist_ok=True)
+    _write_atomic(csv_path, csv_text)
+    _write_atomic(json_path, json_text)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
@@ -455,7 +471,9 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="damped-midpoint",
         description="Time-centered integration of damped linear systems "

@@ -22,8 +22,18 @@ less per call than ``@`` and gave the same bits for every 2n×2n
 matrix-vector product tried, with signed zeros, infinities, NaN, 1e-300
 and 3e300 entries, under the SkylakeX, Haswell and Sandybridge OpenBLAS
 kernels; the two differ only for one-element products, and 2n ≥ 2. The
-indirect scheme's substituting factor changes with K̃ every step, so its
-solve is not prepared.
+indirect scheme's substituting factor changes with K̃ every step, so each
+step factors it and solves it once (``linalg.lu_solve``).
+
+RK4's stage updates and final combination run on Python floats, and so,
+within the float bound of ``linalg`` (2n ≤ 10), do the indirect step's
+K̃, substituting M, pivot threshold and factor: there numpy's per-call
+cost exceeds the arithmetic. Elementwise operations round the same
+either way, so these steps are bit for bit the numpy ones; every product
+of two or more terms (N·z, C·Δq, K·q, C·p) stays numpy, and
+``linalg.lu_solve`` solves the factor. An indirect step where Python
+raises ``ZeroDivisionError`` instead of making numpy's inf or NaN, as
+where τ·(q' + q) underflows to 0, reruns on numpy.
 
 K̃ is diagonal, so two substituting pairs of one run differ only in the n
 diagonal entries of their lower-left blocks. A run builds the pair with
@@ -48,8 +58,8 @@ from . import linalg
 from .errors import DimensionError, IntegrationError, InvalidStiffnessError, \
     SingularMatrixError
 from .symplectic import frobenius_squared, symplectic_form, symplectic_defect
-from .system import DEFAULT_EPSILON, DampedLinearSystem, EquivalentStiffness, \
-    PhaseState, _equivalent_stiffness_arrays, damping_work, quadratic_energy
+from .system import DEFAULT_EPSILON, DampedLinearSystem, EquivalentStiffness, PhaseState, \
+    _equivalent_stiffness_arrays, _equivalent_stiffness_floats, damping_work, quadratic_energy
 
 METHODS = ("midpoint_direct", "midpoint_indirect", "rk4")
 
@@ -90,7 +100,7 @@ def scheme_factors(K, C, tau: float):
     return m, nn
 
 
-def _substituting_pairs(K, tau: float):
+def _substituting_pairs(K, tau: float, floats: bool = False):
     """Builder of one run's substituting factor pairs.
 
     The returned ``pairs(d)`` is ``scheme_factors(K + np.diag(d), 0, tau)``
@@ -99,12 +109,22 @@ def _substituting_pairs(K, tau: float):
     lower-left blocks: s = (τ/2)·(K[i, i] + d[i]), stored as s + 0.0 in M
     and 0.0 - s in N. The other entries of that block are the template's
     (τ/2)·K + 0.0, which already turns a -0.0 into +0.0, as adding the
-    zero off-diagonal of diag(d) and the zero damping does.
+    zero off-diagonal of diag(d) and the zero damping does. With ``floats``
+    it takes one d as a float list and gives M as float rows, N an ndarray.
     """
     n = K.shape[0]
     m0, n0 = scheme_factors(K, np.zeros_like(K), tau)
     half = 0.5 * tau
     kdiag = np.diagonal(K)
+    if floats:
+        rows0, kdiag = m0.tolist(), kdiag.tolist()
+
+        def float_pairs(d):
+            m, nn = [row[:] for row in rows0], n0.copy()
+            for i, s in enumerate(half * (k + di) for k, di in zip(kdiag, d)):
+                m[n + i][i], nn[n + i, i] = s + 0.0, 0.0 - s
+            return m, nn
+        return float_pairs
     # Entries (n + i, i) of a 2n×2n matrix, i < n, in its row-major ravel.
     block_diag = slice(2 * n * n, None, 2 * n + 1)
 
@@ -127,24 +147,25 @@ def _midpoint_solver(K, C, tau):
     return linalg.lu_factor(m), nn
 
 
-def _rk4_arrays(K, C, tau, q, p):
-    k1q = p
-    k1p = -(K @ q) - C @ p
-    q2 = q + (0.5 * tau) * k1q
-    p2 = p + (0.5 * tau) * k1p
-    k2q = p2
-    k2p = -(K @ q2) - C @ p2
-    q3 = q + (0.5 * tau) * k2q
-    p3 = p + (0.5 * tau) * k2p
-    k3q = p3
-    k3p = -(K @ q3) - C @ p3
-    q4 = q + tau * k3q
-    p4 = p + tau * k3p
-    k4q = p4
-    k4p = -(K @ q4) - C @ p4
-    sixth = tau / 6.0
-    return (q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q),
-            p + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+def _rk4(K, C, tau):
+    """RK4's step z ↦ (z', None) on z = (q, p): stages z + h·k, h = τ/2, τ/2,
+    τ, each k the slope (p, -K·q - C·p) of the one before, then z + (τ/6)·
+    (k₁ + 2k₂ + 2k₃ + k₄); only K·q and C·p are not on Python floats."""
+    n = K.shape[0]
+    half, sixth = 0.5 * tau, tau / 6.0
+
+    def slope(zl):
+        z = np.array(zl)
+        return zl[n:] + [-a - b for a, b in zip((K @ z[:n]).tolist(), (C @ z[n:]).tolist())]
+
+    def step(z):
+        z0 = z.tolist()
+        ks = [slope(z0)]
+        for h in (half, half, tau):
+            ks.append(slope([x + h * v for x, v in zip(z0, ks[-1])]))
+        return np.array([x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                         for x, a, b, c, d in zip(z0, *ks)]), None
+    return step
 
 
 def _step_kernel(K, C, tau, method, epsilon, direct):
@@ -161,9 +182,7 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
     """
     n = K.shape[0]
     if method == "rk4":
-        def step(z):
-            return np.concatenate(_rk4_arrays(K, C, tau, z[:n], z[n:])), None
-        return step
+        return _rk4(K, C, tau)
     lu1, n1 = direct
     solve1 = linalg.lu_solver(lu1)
     if method == "midpoint_direct":
@@ -180,7 +199,22 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
         m2, n2 = pairs(diag)
         lu2 = linalg.lu_factor(m2)
         return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
-    return step
+    if 2 * n > linalg._FLOAT_FACTOR_MAX:
+        return step
+    float_pairs = _substituting_pairs(K, tau, floats=True)
+
+    def float_step(z):
+        probe = solve1(n1.dot(z))
+        try:
+            diag, valid = _equivalent_stiffness_floats(C, z[:n], probe[:n], tau, epsilon)
+            if not all(valid):
+                return probe, (diag, valid, None)
+            rows, n2 = float_pairs(diag)
+            lu2 = linalg._lu_factor_floats(rows, linalg._float_threshold(rows))
+        except ZeroDivisionError:
+            return step(z)
+        return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
+    return float_step
 
 
 @dataclass(frozen=True)
@@ -387,7 +421,8 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     pass; the indirect scheme stacks the factors its steps already
     computed. A stepper failure, a non-finite state or a singular
     verification factor aborts with :class:`IntegrationError` carrying
-    the lowest failing 1-based step index.
+    the lowest failing 1-based step index, and so does the first step
+    whose energy, work or ``hhat`` is not finite, where that comes first.
     """
     n_steps, tau, direct, step = _start(sys, z0, tau, n_steps, method, epsilon)
     K, C, n = sys.K, sys.C, sys.n
@@ -404,50 +439,63 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     defect_indirect = np.full(n_steps, np.nan)
     norm2_indirect = np.full(n_steps, np.nan)
     chunk = _verify_chunk(n)
-    for lo in range(1, n_steps + 1, chunk):
-        hi = min(lo + chunk, n_steps + 1)
-        pending = []
-        failure = None
-        # Overflow past a blow-up is reported below as a non-finite state.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for k in range(lo, hi):
-                    z[k], ks = step(z[k - 1])
-                    if ks is not None:
-                        ktilde[k - 1], valid[k - 1], substitute = ks
-                        if substitute is not None:
-                            pending.append((k, *substitute[0], substitute[1]))
-            except SingularMatrixError as exc:
-                hi, failure = k, IntegrationError(k, str(exc))
-        finite = np.isfinite(z[lo:hi]).all(axis=1)
-        if not finite.all():
-            hi = lo + int(np.argmin(finite))
-            failure = IntegrationError(hi, "state is not finite")
-        if method == "midpoint_indirect":
-            pending = [entry for entry in pending if entry[0] < hi]
-            steps = np.array([entry[0] for entry in pending], dtype=int)
-            if pending:
-                _, lus, perms, rhs = (np.array(part) for part in zip(*pending))
-                factorization = (lus, perms)
-        else:
-            ktilde[lo - 1:hi - 1], valid[lo - 1:hi - 1] = _equivalent_stiffness_arrays(
-                C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, float(epsilon))
-            steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
+    failure = None
+    try:
+        for lo in range(1, n_steps + 1, chunk):
+            hi = min(lo + chunk, n_steps + 1)
+            pending = []
+            failure = None
+            # Overflow past a blow-up is reported below as a non-finite state.
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    for k in range(lo, hi):
+                        z[k], ks = step(z[k - 1])
+                        if ks is not None:
+                            ktilde[k - 1], valid[k - 1], substitute = ks
+                            if substitute is not None:
+                                pending.append((k, *substitute[0], substitute[1]))
+                except SingularMatrixError as exc:
+                    hi, failure = k, IntegrationError(k, str(exc))
+            finite = np.isfinite(z[lo:hi]).all(axis=1)
+            if not finite.all():
+                hi = lo + int(np.argmin(finite))
+                failure = IntegrationError(hi, "state is not finite")
+            if method == "midpoint_indirect":
+                pending = [entry for entry in pending if entry[0] < hi]
+                steps = np.array([entry[0] for entry in pending], dtype=int)
+                if pending:
+                    _, lus, perms, rhs = (np.array(part) for part in zip(*pending))
+                    factorization = (lus, perms)
+            else:
+                ktilde[lo - 1:hi - 1], valid[lo - 1:hi - 1] = _equivalent_stiffness_arrays(
+                    C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, float(epsilon))
+                steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
+                if steps.size:
+                    factorization, rhs = _substituting_factors(pairs, ktilde[steps - 1], steps)
             if steps.size:
-                factorization, rhs = _substituting_factors(pairs, ktilde[steps - 1], steps)
-        if steps.size:
-            f = linalg.lu_solve(factorization, rhs)
-            defect_indirect[steps - 1] = symplectic_defect(f, form)
-            norm2_indirect[steps - 1] = frobenius_squared(f)
-        if failure is not None:
-            raise failure
+                f = linalg.lu_solve(factorization, rhs)
+                defect_indirect[steps - 1] = symplectic_defect(f, form)
+                norm2_indirect[steps - 1] = frobenius_squared(f)
+            if failure is not None:
+                raise failure
+    except IntegrationError as exc:
+        failure = exc
+    # The states before a failing step are finite; a ledger that overflows
+    # among them fails first, at its own step, whatever the run's length.
+    end = n_steps + 1 if failure is None else failure.step_index
     z.setflags(write=False)
-    q, p = z[:, :n], z[:, n:]
-    energy = quadratic_energy(K, q[1:], p[1:])
-    work = damping_work(sys, q[:-1], q[1:], tau)
+    q, p = z[:end, :n], z[:end, n:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = quadratic_energy(K, q[1:], p[1:])
+        work = damping_work(sys, q[:-1], q[1:], tau)
+        hhat = energy + np.cumsum(work)
+    finite = np.isfinite(hhat)
+    if not finite.all():
+        raise IntegrationError(1 + int(np.argmin(finite)), "energy ledger is not finite")
+    if failure is not None:
+        raise failure
     t = z0.t + np.arange(n_steps + 1) * tau
     t[0] = z0.t
-    hhat = energy + np.cumsum(work)
     # Frozen here, so the Trajectory keeps these arrays without copying.
     for a in (t, energy, work, hhat, ktilde, valid, defect_indirect, norm2_indirect):
         a.setflags(write=False)

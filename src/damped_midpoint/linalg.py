@@ -14,7 +14,11 @@ to the sign of a NaN, which numpy itself does not fix). A BLAS dot of
 length 2 or more rounds by the CPU's kernel (a fused multiply-add chain
 on some, multiply then add on others), and Python has no fused
 multiply-add before 3.13, so every such dot stays in numpy: the solve's
-rows for m ≥ 3, and all stacks and matrix right-hand sides.
+rows for m ≥ 3, and all stacks and matrix right-hand sides. The
+integrators use the same bound: for a state of 2n ≤ 10, the indirect
+step builds its substituting matrix as float rows and hands it, with
+its :func:`_float_threshold`, to :func:`_lu_factor_floats` directly;
+its matrix-vector products and solve stay in numpy.
 
 One factorization solved against many vectors, as a time stepper with a
 fixed transition map does, is prepared once by :func:`lu_solver` ("factor
@@ -229,6 +233,13 @@ def _lu_rows(lu: np.ndarray, threshold):
             col /= lu[k, k]
             lu[k + 1 :, k + 1 :] -= col[:, None] * lu[k, k + 1 :]
     return lu, perm
+
+
+def _float_threshold(rows: list) -> float:
+    """``_lu_factor_one``'s pivot threshold of a matrix given as float rows;
+    a NaN entry makes it NaN, as it makes numpy's max."""
+    flat = [abs(v) for row in rows for v in row]
+    return PIVOT_RTOL * max(max(flat) if all(v == v for v in flat) else float("nan"), _TINY)
 
 
 def _lu_factor_floats(rows: list, threshold):

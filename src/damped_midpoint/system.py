@@ -196,6 +196,15 @@ def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarra
     return diag, valid
 
 
+def _equivalent_stiffness_floats(C, q_k, q_k1, tau: float, epsilon: float):
+    """``_equivalent_stiffness_arrays`` of one step as Python float lists, bit
+    for bit, but for a ``ZeroDivisionError`` where numpy makes inf or NaN."""
+    cd = (2.0 * _matvec(C, q_k1 - q_k)).tolist()
+    pairs = list(zip(q_k1.tolist(), q_k.tolist()))
+    valid = [abs(a + b) > epsilon * max(abs(a), abs(b), _FLOOR) for a, b in pairs]
+    return [c / (tau * (a + b)) if ok else 0.0 for c, (a, b), ok in zip(cd, pairs, valid)], valid
+
+
 def analytic_1d(k: float, c: float, q0: float, p0: float, t: float):
     """Closed-form underdamped scalar solution of q̈ + c·q̇ + k·q = 0.
 

@@ -9,8 +9,8 @@ checks the kernel against an independent assembly of the same scheme:
   K + diag(K̃) and zero damping;
 - K̃ comes from ``system._equivalent_stiffness_arrays``, the package's one
   implementation of its formula;
-- RK4 writes its four stages out in the order ``_rk4_arrays`` evaluates
-  them.
+- RK4 writes its four stages out as arrays, in the order of the
+  elementwise operations of ``integrators._rk4``.
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, error contracts."""
 
 import json
+import math
 import os
 import warnings
 
@@ -318,8 +319,81 @@ class TestArtifacts:
         }))
         rc = run_cli([sub, "--config", config, "--out", tmp_path / "new" / "x"])
         assert rc == cli.EXIT_SOLVER
-        assert json.loads(capsys.readouterr().err)["error"]["step"] == 296
+        assert json.loads(capsys.readouterr().err)["error"]["step"] == 149
         assert [p.name for p in tmp_path.iterdir()] == ["unstable.json"]
+
+    def test_overflowing_ledger_writes_nothing(self, tmp_path, capsys):
+        """Every state of 295 steps is finite, but the energy overflows at
+        step 149: the run fails there, with no file and no warning."""
+        config = tmp_path / "unstable.json"
+        config.write_text(json.dumps({
+            "system": {"K": [[1.0]], "C": [[-5.0]]},
+            "initial": {"q": [0.1], "p": [0.2]},
+            "tau": 0.5,
+            "n_steps": 10,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(["run", "--config", config, "--steps", 295,
+                          "--out", tmp_path / "new" / "x"])
+        assert rc == cli.EXIT_SOLVER
+        err = strict_json(capsys.readouterr().err)["error"]
+        assert err["step"] == 149 and "ledger is not finite" in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["unstable.json"]
+
+    def test_unserialisable_summary_writes_nothing(self, tmp_path):
+        prefix = tmp_path / "new" / "x"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._write_artifacts(str(prefix), ("a", "b"), "x\n", {"value": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_statistic_is_null(self, tmp_path, capsys):
+        """K̃ is 0/0 where τ·(q' + q) underflows: the run is finite, its
+        indirect defect maximum is NaN and is written as null."""
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "system": {"K": [[1.0, 0.0], [0.0, 2.0]], "C": [[0.5, 0.1], [0.1, 0.3]]},
+            "initial": {"q": [1e-300, 2e-300], "p": [1e-300, 0.0]},
+            "tau": 1e-100,
+            "n_steps": 5,
+        }))
+        prefix = tmp_path / "x"
+        # The 0/0 of K̃ still warns (ROADMAP item 6).
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = run_cli(["run", "--config", config, "--method", "midpoint_direct",
+                          "--out", prefix])
+        assert rc == 0, capsys.readouterr().err
+        summary = strict_json((tmp_path / "x.summary.json").read_text(encoding="utf-8"))
+        assert summary["defect_indirect_max"] is None
+        assert summary["singular_steps"] == 0
+        assert json.loads(cli._json_text([float("inf"), {"a": -math.inf}, (math.nan, 1.5)])) \
+            == [None, {"a": None}, [None, 1.5]]
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """A run, an argv without ``--config`` and a compare in one process
+        share one parser; the compare writes what it writes on its own."""
+        cli._build_parser.cache_clear()
+        alone = tmp_path / "alone"
+        assert run_cli(["compare", "--config", "paper_2d", "--steps", 30, "--out", alone]) == 0
+        capsys.readouterr()
+        assert run_cli(["run", "--config", "paper_1d", "--steps", 20,
+                        "--out", tmp_path / "run"]) == 0
+        with pytest.raises(SystemExit) as stop:
+            run_cli(["run", "--steps", 20])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: damped-midpoint run") and "--config" in err
+        again = tmp_path / "again"
+        assert run_cli(["compare", "--config", "paper_2d", "--steps", 30, "--out", again]) == 0
+        assert (tmp_path / "again.compare.csv").read_bytes() \
+            == (tmp_path / "alone.compare.csv").read_bytes()
+        first, second = (dict(read_json(tmp_path / f"{name}.compare.json"),
+                              files=None, wall_time_s=None) for name in ("alone", "again"))
+        assert first == second
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestWriteAtomic:
@@ -566,5 +640,5 @@ def test_blow_up_reports_step(tmp_path, capsys):
     assert run_cli(["run", "--config", config, "--out", tmp_path / "x"]) == cli.EXIT_SOLVER
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "solver"
-    assert err["step"] == 296
-    assert "step 296" in err["message"]
+    assert err["step"] == 149
+    assert "step 149" in err["message"]

@@ -344,15 +344,22 @@ class TestBlowUp:
         z0 = dm.PhaseState(0.0, [0.1], [0.2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError, match="not finite") as err:
-                dm.integrate(sys_, z0, 0.5, 5000, method)
-            with pytest.raises(IntegrationError, match="not finite") as replayed:
+            with pytest.raises(IntegrationError, match="state is not finite") as err:
                 dm.propagate(sys_, z0, 0.5, 5000, method)
-        k = err.value.step_index
-        assert replayed.value.step_index == k
-        with np.errstate(over="ignore", invalid="ignore"):  # energies overflow
-            last = dm.integrate(sys_, z0, 0.5, k - 1, method)
-        assert np.all(np.isfinite(last.q)) and np.all(np.isfinite(last.p))
+            k = err.value.step_index
+            last = dm.propagate(sys_, z0, 0.5, k - 1, method)
+            assert np.all(np.isfinite(last.q)) and np.all(np.isfinite(last.p))
+            # The energy overflows before the state does: integrate reports
+            # the ledger's first non-finite step, whatever the run's length.
+            ledger = []
+            for n_steps in (k - 1, k, 400, 5000):
+                with pytest.raises(IntegrationError, match="ledger is not finite") as failed:
+                    dm.integrate(sys_, z0, 0.5, n_steps, method)
+                ledger.append(failed.value.step_index)
+            dm.integrate(sys_, z0, 0.5, ledger[0] - 1, method)
+        assert len(set(ledger)) == 1 and 1 < ledger[0] < k
+        if method != "rk4":
+            assert ledger[0] == 149
         with pytest.raises(IntegrationError) as exact:
             dm.propagate(sys_, z0, 0.5, k, method)
         assert exact.value.step_index == k
