@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientOscillationError
-from .integrators import Trajectory, propagate
+from .integrators import Trajectory, _check_scheme, propagate
 from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, analytic_1d, \
     damping_work, quadratic_energy
 
@@ -122,10 +122,11 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     reference is the closed-form underdamped solution for scalar systems,
     otherwise a Runge-Kutta run at tau_max/1024. Errors are max-norm over
     the stacked (q, p) vector; observed orders are log₂ of successive
-    error ratios, None where a ratio is not finite and positive. A study
-    whose ladder and reference steps add up to more than
-    ``MAX_STUDY_STEPS`` raises ``ValueError`` before any stepping.
+    error ratios, None where a ratio is not finite and positive. A bad
+    method or ε, or a study whose ladder and reference steps add up to
+    more than ``MAX_STUDY_STEPS``, raises ``ValueError`` before any stepping.
     """
+    _check_scheme(method, epsilon)
     levels = int(levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")

@@ -25,15 +25,14 @@ kernels; the two differ only for one-element products, and 2n ≥ 2. The
 indirect scheme's substituting factor changes with K̃ every step, so each
 step factors it and solves it once (``linalg.lu_solve``).
 
-RK4's stage updates and final combination run on Python floats, and so,
-within the float bound of ``linalg`` (2n ≤ 10), do the indirect step's
-K̃, substituting M, pivot threshold and factor: there numpy's per-call
-cost exceeds the arithmetic. Elementwise operations round the same
-either way, so these steps are bit for bit the numpy ones; every product
-of two or more terms (N·z, C·Δq, K·q, C·p) stays numpy, and
-``linalg.lu_solve`` solves the factor. An indirect step where Python
-raises ``ZeroDivisionError`` instead of making numpy's inf or NaN, as
-where τ·(q' + q) underflows to 0, reruns on numpy.
+RK4's stage updates and final combination, the indirect step's K̃ and
+the n entries its substituting pair writes run on Python floats at every
+n, where numpy's per-call cost exceeds the arithmetic. Elementwise
+operations round the same either way, so these are bit for bit the
+numpy ones; every product of two or more terms (N·z, C·Δq, K·q, C·p)
+stays numpy. K̃'s float form sits in ``system`` by its array form, which
+it falls back to where τ·(q' + q) underflows to 0; ``linalg.lu_factor``
+picks its own float loop for small factors.
 
 K̃ is diagonal, so two substituting pairs of one run differ only in the n
 diagonal entries of their lower-left blocks. A run builds the pair with
@@ -100,35 +99,33 @@ def scheme_factors(K, C, tau: float):
     return m, nn
 
 
-def _substituting_pairs(K, tau: float, floats: bool = False):
+def _substituting_pairs(K, tau: float):
     """Builder of one run's substituting factor pairs.
 
     The returned ``pairs(d)`` is ``scheme_factors(K + np.diag(d), 0, tau)``
-    bit for bit, for one K̃ diagonal d (n,) or a stack of them (N, n). It
-    copies the pair with K̃ = 0 and writes only the diagonal of the
-    lower-left blocks: s = (τ/2)·(K[i, i] + d[i]), stored as s + 0.0 in M
-    and 0.0 - s in N. The other entries of that block are the template's
-    (τ/2)·K + 0.0, which already turns a -0.0 into +0.0, as adding the
-    zero off-diagonal of diag(d) and the zero damping does. With ``floats``
-    it takes one d as a float list and gives M as float rows, N an ndarray.
+    bit for bit, for one K̃ diagonal d (a float list or an (n,) array) or
+    a stack of them (N, n). It copies the pair with K̃ = 0 and writes only
+    the diagonal of the lower-left blocks: s = (τ/2)·(K[i, i] + d[i]),
+    stored as s + 0.0 in M and 0.0 - s in N. The other entries of that
+    block are the template's (τ/2)·K + 0.0, which already turns a -0.0
+    into +0.0, as adding the zero off-diagonal of diag(d) and the zero
+    damping does. One d is written entry by entry, a stack on numpy.
     """
     n = K.shape[0]
     m0, n0 = scheme_factors(K, np.zeros_like(K), tau)
     half = 0.5 * tau
     kdiag = np.diagonal(K)
-    if floats:
-        rows0, kdiag = m0.tolist(), kdiag.tolist()
-
-        def float_pairs(d):
-            m, nn = [row[:] for row in rows0], n0.copy()
-            for i, s in enumerate(half * (k + di) for k, di in zip(kdiag, d)):
-                m[n + i][i], nn[n + i, i] = s + 0.0, 0.0 - s
-            return m, nn
-        return float_pairs
+    kfloats = kdiag.tolist()
     # Entries (n + i, i) of a 2n×2n matrix, i < n, in its row-major ravel.
     block_diag = slice(2 * n * n, None, 2 * n + 1)
 
     def pairs(d):
+        if isinstance(d, list) or d.ndim == 1:
+            m, nn = m0.copy(), n0.copy()
+            for i, k, di in zip(range(n), kfloats, d):
+                s = half * (k + di)
+                m[n + i, i], nn[n + i, i] = s + 0.0, 0.0 - s
+            return m, nn
         s = half * (kdiag + d)
         shape = s.shape[:-1] + m0.shape
         m = np.empty(shape)
@@ -175,10 +172,10 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
     ignores it. Its solve is prepared once (``linalg.lu_solver``), and
     each direct step and indirect probe is ``solve1(N.dot(z))``. ``ks`` is
     None except for the indirect scheme, which reports
-    ``(diag, valid, substitute)``: the step's equivalent stiffness and,
-    when every component is valid, the substituting scheme's
-    ``(factorization, N)`` pair it stepped with (else None, and z' is the
-    probe).
+    ``(diag, valid, substitute)``: the step's equivalent stiffness as
+    float lists and, when every component is valid, the substituting
+    scheme's ``(factorization, N)`` pair it stepped with (else None, and
+    z' is the probe).
     """
     n = K.shape[0]
     if method == "rk4":
@@ -193,28 +190,13 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
 
     def step(z):
         probe = solve1(n1.dot(z))
-        diag, valid = _equivalent_stiffness_arrays(C, z[:n], probe[:n], tau, epsilon)
-        if not valid.all():
+        diag, valid = _equivalent_stiffness_floats(C, z[:n], probe[:n], tau, epsilon)
+        if not all(valid):
             return probe, (diag, valid, None)
         m2, n2 = pairs(diag)
         lu2 = linalg.lu_factor(m2)
         return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
-    if 2 * n > linalg._FLOAT_FACTOR_MAX:
-        return step
-    float_pairs = _substituting_pairs(K, tau, floats=True)
-
-    def float_step(z):
-        probe = solve1(n1.dot(z))
-        try:
-            diag, valid = _equivalent_stiffness_floats(C, z[:n], probe[:n], tau, epsilon)
-            if not all(valid):
-                return probe, (diag, valid, None)
-            rows, n2 = float_pairs(diag)
-            lu2 = linalg._lu_factor_floats(rows, linalg._float_threshold(rows))
-        except ZeroDivisionError:
-            return step(z)
-        return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
-    return float_step
+    return step
 
 
 @dataclass(frozen=True)
@@ -368,22 +350,30 @@ class Trajectory:
         return [PhaseState(t, q, p) for t, q, p in zip(self.t, self.q, self.p)]
 
 
+def _check_scheme(method, epsilon):
+    """``ValueError`` unless ``method`` is in ``METHODS`` and 0 < ε < inf."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
 def _start(sys, z0, tau, n_steps, method, epsilon):
     """Checked arguments and stepper of one run: ``(n_steps, tau, direct,
     step)``, with ``direct`` the direct scheme's ``(factorization, N)``
-    and ``step`` the ``_step_kernel`` of ``method``. A singular direct
-    factor fails the run with :class:`IntegrationError` at step 1, for
-    every method."""
+    and ``step`` the ``_step_kernel`` of ``method``. ``n_steps`` is an
+    int or numpy integer, never truncated. A singular direct factor fails
+    the run with :class:`IntegrationError` at step 1, for every method."""
     if z0.n != sys.n:
         raise DimensionError(f"state dimension {z0.n} does not match system {sys.n}")
     if not tau > 0.0:
         raise ValueError(f"step size must be positive, got {tau}")
-    n_steps = int(n_steps)
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    tau = float(tau)
+    _check_scheme(method, epsilon)
+    n_steps, tau = int(n_steps), float(tau)
     try:
         direct = _midpoint_solver(sys.K, sys.C, tau)
     except SingularMatrixError as exc:

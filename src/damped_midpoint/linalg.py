@@ -14,11 +14,7 @@ to the sign of a NaN, which numpy itself does not fix). A BLAS dot of
 length 2 or more rounds by the CPU's kernel (a fused multiply-add chain
 on some, multiply then add on others), and Python has no fused
 multiply-add before 3.13, so every such dot stays in numpy: the solve's
-rows for m ≥ 3, and all stacks and matrix right-hand sides. The
-integrators use the same bound: for a state of 2n ≤ 10, the indirect
-step builds its substituting matrix as float rows and hands it, with
-its :func:`_float_threshold`, to :func:`_lu_factor_floats` directly;
-its matrix-vector products and solve stay in numpy.
+rows for m ≥ 3, and all stacks and matrix right-hand sides.
 
 One factorization solved against many vectors, as a time stepper with a
 fixed transition map does, is prepared once by :func:`lu_solver` ("factor
@@ -116,12 +112,13 @@ def lu_factor(a):
     times the largest entry of its matrix; in a stack the error is the one of
     the first failing matrix, whose position it carries as ``index``.
     """
-    lu = np.array(a, dtype=float)
+    lu = np.asarray(a, dtype=float)
     if lu.ndim not in (2, 3) or lu.shape[-1] != lu.shape[-2]:
         raise DimensionError(
             f"expected a square matrix or a stack of them, got shape {lu.shape}")
     if lu.ndim == 2:
         return _lu_factor_one(lu)
+    lu = np.array(lu)
     m = lu.shape[-1]
     threshold = PIVOT_RTOL * np.maximum(np.abs(lu).max(axis=(1, 2), initial=0.0), _TINY)
     perm = np.tile(np.arange(m), (len(lu), 1))
@@ -152,15 +149,22 @@ def lu_factor(a):
     return lu, perm
 
 
-def _lu_factor_one(lu: np.ndarray):
-    """``lu_factor`` of one (m, m) matrix, in place: the stacked kernel's
-    operations on a single item. The first pivot at or below the
-    threshold raises, with the value the stacked kernel reports.
+def _lu_factor_one(a: np.ndarray):
+    """``lu_factor`` of one (m, m) matrix, which it does not write: the
+    stacked kernel's operations on a single item. The first pivot at or
+    below the threshold raises, with the value the stacked kernel reports;
+    up to the float bound, the threshold is taken on the float rows.
 
     A scheme-shaped matrix [[I, D], [A, I]] (see :func:`_scheme_half`)
     keeps rows 0..n-1 as its first n pivots, so only its Schur block
     S = I - A·D is factored; rows n.. of L are A permuted by S's pivots.
     """
+    if 1 <= len(a) <= _FLOAT_FACTOR_MAX:
+        rows = a.tolist()
+        flat = [abs(v) for row in rows for v in row]
+        total = sum(flat)   # NaN exactly when an entry is NaN, as numpy's max then is
+        return _lu_rows(a, PIVOT_RTOL * max(max(flat) if total == total else total, _TINY), rows)
+    lu = np.array(a)
     threshold = PIVOT_RTOL * np.maximum(np.abs(lu).max(initial=0.0), _TINY)
     n = _scheme_half(lu, threshold)
     if not n:
@@ -207,15 +211,16 @@ def _unit_rows(lu: np.ndarray) -> int:
     return n if rows.tobytes() == _template(n)[0] * (rows.size // (n * m)) else 0
 
 
-def _lu_rows(lu: np.ndarray, threshold):
+def _lu_rows(lu: np.ndarray, threshold, rows=None):
     """The row loop of ``_lu_factor_one`` against ``threshold``: on Python
-    floats up to the float bound, else on numpy rows."""
+    floats (``rows``, else ``lu``'s) up to the float bound, else on numpy
+    rows of ``lu``, in place, or of a copy after a float zero pivot."""
     m = len(lu)
     if 1 <= m <= _FLOAT_FACTOR_MAX:
         try:
-            return _lu_factor_floats(lu.tolist(), threshold)
+            return _lu_factor_floats(lu.tolist() if rows is None else rows, threshold)
         except ZeroDivisionError:
-            pass
+            lu = np.array(lu)
     perm = np.arange(m)
     # A NaN entry makes the pivot test pass; as in a stack, what follows is silent.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -233,13 +238,6 @@ def _lu_rows(lu: np.ndarray, threshold):
             col /= lu[k, k]
             lu[k + 1 :, k + 1 :] -= col[:, None] * lu[k, k + 1 :]
     return lu, perm
-
-
-def _float_threshold(rows: list) -> float:
-    """``_lu_factor_one``'s pivot threshold of a matrix given as float rows;
-    a NaN entry makes it NaN, as it makes numpy's max."""
-    flat = [abs(v) for row in rows for v in row]
-    return PIVOT_RTOL * max(max(flat) if all(v == v for v in flat) else float("nan"), _TINY)
 
 
 def _lu_factor_floats(rows: list, threshold):

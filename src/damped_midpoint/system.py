@@ -185,24 +185,30 @@ def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarra
     the position-proportional force matching the damping force at the step
     midpoint. Where |q_k1[i] + q_k[i]| falls at or below ``epsilon`` times
     the component scale the quotient is singular: the entry is zero and
-    flagged invalid. Rows of (N, n) coordinate stacks give N steps.
+    flagged invalid. Rows of (N, n) coordinate stacks give N steps. Where
+    τ·(q_k1[i] + q_k[i]) underflows to 0, a valid entry is ±inf or NaN, silently.
     """
     delta = q_k1 - q_k
     total = q_k1 + q_k
     scale = np.maximum(np.maximum(np.abs(q_k1), np.abs(q_k)), _FLOOR)
     valid = np.abs(total) > epsilon * scale
     diag = np.zeros_like(total)
-    np.divide(2.0 * _matvec(C, delta), tau * total, out=diag, where=valid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(2.0 * _matvec(C, delta), tau * total, out=diag, where=valid)
     return diag, valid
 
 
 def _equivalent_stiffness_floats(C, q_k, q_k1, tau: float, epsilon: float):
     """``_equivalent_stiffness_arrays`` of one step as Python float lists, bit
-    for bit, but for a ``ZeroDivisionError`` where numpy makes inf or NaN."""
+    for bit; where Python raises ``ZeroDivisionError``, the array form's."""
     cd = (2.0 * _matvec(C, q_k1 - q_k)).tolist()
     pairs = list(zip(q_k1.tolist(), q_k.tolist()))
     valid = [abs(a + b) > epsilon * max(abs(a), abs(b), _FLOOR) for a, b in pairs]
-    return [c / (tau * (a + b)) if ok else 0.0 for c, (a, b), ok in zip(cd, pairs, valid)], valid
+    try:
+        diag = [c / (tau * (a + b)) if ok else 0.0 for c, (a, b), ok in zip(cd, pairs, valid)]
+    except ZeroDivisionError:   # numpy's ±inf or NaN
+        diag = _equivalent_stiffness_arrays(C, q_k, q_k1, tau, epsilon)[0].tolist()
+    return diag, valid
 
 
 def analytic_1d(k: float, c: float, q0: float, p0: float, t: float):

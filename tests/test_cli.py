@@ -45,6 +45,19 @@ def undamped_config(tmp_path):
     return path
 
 
+@pytest.fixture()
+def tiny_config(tmp_path):
+    """A run whose τ·(q' + q) underflows to 0 at step 1, so K̃ is 0/0."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "system": {"K": [[1.0, 0.0], [0.0, 2.0]], "C": [[0.5, 0.1], [0.1, 0.3]]},
+        "initial": {"q": [1e-300, 2e-300], "p": [1e-300, 0.0]},
+        "tau": 1e-100,
+        "n_steps": 5,
+    }))
+    return path
+
+
 class TestBundledConfigs:
     @pytest.mark.parametrize("name", ["paper_1d", "paper_2d"])
     def test_exists_and_parses(self, name):
@@ -347,28 +360,33 @@ class TestArtifacts:
             cli._write_artifacts(str(prefix), ("a", "b"), "x\n", {"value": object()})
         assert list(tmp_path.iterdir()) == []
 
-    def test_non_finite_statistic_is_null(self, tmp_path, capsys):
+    def test_non_finite_statistic_is_null(self, tmp_path, capsys, tiny_config):
         """K̃ is 0/0 where τ·(q' + q) underflows: the run is finite, its
         indirect defect maximum is NaN and is written as null."""
-        config = tmp_path / "tiny.json"
-        config.write_text(json.dumps({
-            "system": {"K": [[1.0, 0.0], [0.0, 2.0]], "C": [[0.5, 0.1], [0.1, 0.3]]},
-            "initial": {"q": [1e-300, 2e-300], "p": [1e-300, 0.0]},
-            "tau": 1e-100,
-            "n_steps": 5,
-        }))
         prefix = tmp_path / "x"
-        # The 0/0 of K̃ still warns (ROADMAP item 6).
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = run_cli(["run", "--config", config, "--method", "midpoint_direct",
-                          "--out", prefix])
+        rc = run_cli(["run", "--config", tiny_config, "--method", "midpoint_direct",
+                      "--out", prefix])
         assert rc == 0, capsys.readouterr().err
         summary = strict_json((tmp_path / "x.summary.json").read_text(encoding="utf-8"))
         assert summary["defect_indirect_max"] is None
         assert summary["singular_steps"] == 0
         assert json.loads(cli._json_text([float("inf"), {"a": -math.inf}, (math.nan, 1.5)])) \
             == [None, {"a": None}, [None, 1.5]]
+
+    @pytest.mark.parametrize("sub", ["run", "check-symplectic"])
+    @pytest.mark.parametrize("method, code", [("midpoint_direct", 0),
+                                              ("midpoint_indirect", cli.EXIT_SOLVER),
+                                              ("rk4", 0)])
+    def test_ktilde_zero_over_zero_warns_nothing(self, tmp_path, capsys, tiny_config,
+                                                 sub, method, code):
+        """K̃'s 0/0 is NaN without a RuntimeWarning, on the stepping path of
+        the indirect scheme and on the verification path of the others."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli([sub, "--config", tiny_config, "--method", method,
+                          "--out", tmp_path / "x"])
+        assert rc == code, capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestParser:

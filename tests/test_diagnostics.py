@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import damped_midpoint as dm
+from damped_midpoint import diagnostics
 from damped_midpoint.errors import InsufficientOscillationError
 
 
@@ -143,6 +144,17 @@ class TestConvergenceStudy:
     def test_non_commensurate_final_time_rejected(self, sys_1d, z0_1d):
         with pytest.raises(ValueError, match="multiple"):
             dm.convergence_study(sys_1d, z0_1d, 0.3, 2, 10.0, "midpoint_direct")
+
+    @pytest.mark.parametrize("method, epsilon", [("leapfrog", dm.DEFAULT_EPSILON),
+                                                 ("midpoint_indirect", 0.0),
+                                                 ("midpoint_indirect", np.nan)])
+    def test_bad_method_or_epsilon_rejected_before_stepping(self, sys_2d, z0_2d,
+                                                            monkeypatch, method, epsilon):
+        def stepped(*args):
+            raise AssertionError("the study stepped before checking its arguments")
+        monkeypatch.setattr(diagnostics, "propagate", stepped)
+        with pytest.raises(ValueError, match="method|epsilon"):
+            dm.convergence_study(sys_2d, z0_2d, 0.2, 3, 2.0, method, epsilon)
 
     def test_multidim_uses_fine_rk4_reference(self, sys_2d, z0_2d):
         table = dm.convergence_study(sys_2d, z0_2d, 0.2, 3, 2.0,

@@ -31,13 +31,18 @@ entries = {False: st.one_of(ordinary, ordinary, ordinary, zeros, extreme),
 
 # Found by a search: at step 1 both 2·(C·Δq)₁ and τ·(q' + q)₁ overflow,
 # so K̃₁ = -inf/inf = NaN and an entry of the substituting M is NaN. The
-# float step's pivot threshold must then be NaN, as numpy's max makes it.
+# float factor's pivot threshold must then be NaN, as numpy's max makes it.
 NAN_THRESHOLD = ([[1.5, 0.0], [0.0, 0.3]], [[-0.06, 0.0], [0.5, -0.9]],
                  [-0.5, -3e307], [1.7, -3e306], 3.75)
-# At step 1, τ·(q' + q)₁ underflows to 0 and (C·Δq)₁ = 0: the float step
-# raises ZeroDivisionError and reruns on numpy, whose K̃₁ is 0/0 = NaN.
+# At step 1, τ·(q' + q)₁ underflows to 0 and (C·Δq)₁ = 0: the float K̃
+# raises ZeroDivisionError and takes numpy's K̃, whose K̃₁ is 0/0 = NaN.
 UNDERFLOW = ([[-1e-250, 1e-200], [1e-200, 1e50]], [[1e-100, -1.0], [-1e-125, 1e-300]],
              [-0.5, 1e-100], [1.0, -1e-150], 1e-275)
+# The same above the float bound (2n = 12): at step 1 every τ·(q' + q)ᵢ
+# underflows to 0, so K̃ falls back to numpy's ±inf and NaN.
+UNDERFLOW_6 = (np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), 0.1 * np.eye(6) + 0.01,
+               [1e-300, 2e-300, 3e-300, 4e-300, 5e-300, 6e-300],
+               [1e-300, 0.0, 0.0, 0.0, 0.0, 0.0], 1e-100)
 
 # The energy overflows at step 1, the indirect scheme's state at step 3:
 # integrate fails at the ledger's step, propagate at the state's.
@@ -125,6 +130,7 @@ def raised(call):
 @given(hostile_runs())
 @example(run_of(*NAN_THRESHOLD))
 @example(run_of(*UNDERFLOW))
+@example(run_of(*UNDERFLOW_6))
 @example(run_of(*LEDGER_FIRST))
 def test_steps_match_reference_bit_for_bit(run):
     sys_, z0, tau, epsilon, steps = run

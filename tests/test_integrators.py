@@ -248,6 +248,21 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             dm.integrate(sys_1d, z0_1d, 0.2, 10, "leapfrog")
 
+    @pytest.mark.parametrize("run", [dm.integrate, dm.propagate])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, np.nan, np.inf])
+    def test_rejects_epsilon_not_positive_and_finite(self, sys_1d, z0_1d, run, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            run(sys_1d, z0_1d, 0.2, 3, "midpoint_indirect", epsilon)
+
+    @pytest.mark.parametrize("run", [dm.integrate, dm.propagate])
+    @pytest.mark.parametrize("n_steps", [2.7, 3.0, True, np.nan, np.inf, "3"])
+    def test_rejects_step_counts_that_are_not_integers(self, sys_1d, z0_1d, run, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            run(sys_1d, z0_1d, 0.2, n_steps)
+
+    def test_accepts_numpy_integer_step_count(self, sys_1d, z0_1d):
+        assert dm.integrate(sys_1d, z0_1d, 0.2, np.int64(3)).n_steps == 3
+
     @pytest.mark.parametrize("method", dm.METHODS)
     def test_propagate_matches_integrate(self, sys_2d, z0_2d, method):
         tr = dm.integrate(sys_2d, z0_2d, 0.2, 40, method)

@@ -163,10 +163,12 @@ def test_empty_matrix_solves_to_empty():
 ])
 def test_nan_entries_factor_as_the_stack(a):
     a = np.array(a)
+    given = a.tobytes()
     lu, perm = lu_factor(a)
     stacked = lu_factor(a[None])
     assert np.array_equal(lu, stacked[0][0], equal_nan=True)
     assert perm.tobytes() == stacked[1][0].tobytes()
+    assert a.tobytes() == given   # the numpy rerun works on a copy
 
 
 def test_zero_pivot_under_nan_threshold_solves_to_nan():

@@ -346,8 +346,9 @@ def test_substituting_pairs_are_the_full_builder(case):
     pairs = integrators._substituting_pairs(K, tau)
     expected = [dm.scheme_factors(K + np.diag(d), np.zeros_like(K), tau) for d in diags]
     for d, (m, nn) in zip(diags, expected):
-        got_m, got_n = pairs(d)
-        assert got_m.tobytes() == m.tobytes() and got_n.tobytes() == nn.tobytes()
+        for one in (d, d.tolist()):
+            got_m, got_n = pairs(one)
+            assert got_m.tobytes() == m.tobytes() and got_n.tobytes() == nn.tobytes()
     got_m, got_n = pairs(diags)
     assert got_m.shape == (len(diags),) + expected[0][0].shape
     assert got_m.tobytes() == np.array([m for m, _ in expected]).tobytes()
