@@ -230,8 +230,11 @@ _CSV_BLOCK_ROWS = 256
 def _cells(column) -> list[str]:
     """One CSV column rendered as the kind of its first value that is not
     None: ints (the step) by ``str``, bools as ``true``/``false``, floats
-    at 17 significant digits. None renders as an empty cell."""
+    at 17 significant digits. None renders as an empty cell. A column of
+    ``str`` (a run constant, formatted once) is its own cells."""
     kind = next((x for x in column if x is not None), None)
+    if isinstance(kind, str):
+        return column
     if isinstance(kind, bool):
         return ["true" if x else "false" for x in column]
     if isinstance(kind, (int, np.integer)):
@@ -302,7 +305,7 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     e0 = report.initial_energy
     columns = [range(tr.n_steps + 1), tr.t.tolist(), *tr.q.T.tolist(), *tr.p.T.tolist(),
                [e0, *tr.energy.tolist()], [0.0, *report.work_cumulative[1:].tolist()],
-               [e0, *tr.hhat.tolist()], [None] + [tr.defect_direct] * tr.n_steps,
+               [e0, *tr.hhat.tolist()], [""] + ["%.17g" % tr.defect_direct] * tr.n_steps,
                [None, *_nonsingular_only(tr, tr.defect_indirect)],
                [False, *tr.singular.tolist()]]
     return _csv(header, columns)
@@ -435,9 +438,10 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
     singular = tr.singular.tolist()
     columns = [range(1, tr.n_steps + 1), tr.t[1:].tolist(),
-               [tr.defect_direct] * tr.n_steps, _nonsingular_only(tr, tr.defect_indirect),
-               [factor_direct] * tr.n_steps, _nonsingular_only(tr, factor_indirect),
-               singular]
+               ["%.17g" % tr.defect_direct] * tr.n_steps,
+               _nonsingular_only(tr, tr.defect_indirect),
+               ["%.17g" % factor_direct] * tr.n_steps,
+               _nonsingular_only(tr, factor_indirect), singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
     nonsingular = singular.count(False)

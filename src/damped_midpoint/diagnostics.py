@@ -123,10 +123,13 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     otherwise a Runge-Kutta run at tau_max/1024. Errors are max-norm over
     the stacked (q, p) vector; observed orders are log₂ of successive
     error ratios, None where a ratio is not finite and positive. A bad
-    method or ε, or a study whose ladder and reference steps add up to
+    method or ε, a ``levels`` that is not an int or numpy integer (never
+    truncated), or a study whose ladder and reference steps add up to
     more than ``MAX_STUDY_STEPS``, raises ``ValueError`` before any stepping.
     """
     _check_scheme(method, epsilon)
+    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
+        raise ValueError(f"levels must be an integer, got {levels!r}")
     levels = int(levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")

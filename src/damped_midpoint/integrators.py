@@ -16,8 +16,9 @@ collected from the centered difference relations; the same builder with
 stiffness K + K̃ and zero damping yields the substituting scheme's pair.
 The factor pair of the direct scheme depends only on (K, C, τ), so it is
 constant along a trajectory: a run factors M once and prepares its solve
-once (``linalg.lu_solver``), and each direct step, and each probe step
-of the indirect scheme, is that solve of N.dot(z). ``ndarray.dot`` costs
+once (``linalg.lu_solver``: float pivots and one-element rows, the BLAS
+dot for longer rows), and each direct step, and each probe step of the
+indirect scheme, is that solve of N.dot(z). ``ndarray.dot`` costs
 less per call than ``@`` and gave the same bits for every 2n×2n
 matrix-vector product tried, with signed zeros, infinities, NaN, 1e-300
 and 3e300 entries, under the SkylakeX, Haswell and Sandybridge OpenBLAS
@@ -219,8 +220,8 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
     direct half, while a ``ks`` with invalid components raises
     :class:`InvalidStiffnessError`.
     """
-    if not tau > 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {tau}")
     form = symplectic_form(sys.n)
     lu, nn = _midpoint_solver(sys.K, sys.C, float(tau))
     direct = linalg.lu_solve(lu, nn)
@@ -362,12 +363,13 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
     """Checked arguments and stepper of one run: ``(n_steps, tau, direct,
     step)``, with ``direct`` the direct scheme's ``(factorization, N)``
     and ``step`` the ``_step_kernel`` of ``method``. ``n_steps`` is an
-    int or numpy integer, never truncated. A singular direct factor fails
-    the run with :class:`IntegrationError` at step 1, for every method."""
+    int or numpy integer, never truncated, and 0 < τ < inf. A singular
+    direct factor fails the run with :class:`IntegrationError` at step 1,
+    for every method."""
     if z0.n != sys.n:
         raise DimensionError(f"state dimension {z0.n} does not match system {sys.n}")
-    if not tau > 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {tau}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
@@ -405,14 +407,16 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     non-singular steps) and each step's equivalent stiffness.
     Timestamps are t₀ + k·τ from integer k.
 
-    The loop only steps. After each chunk of steps, sized so its stacked
-    2n×2n matrices fit ``_VERIFY_BYTES``, the chunk's states are checked
-    for finiteness and its substituting maps are verified in one stacked
-    pass; the indirect scheme stacks the factors its steps already
-    computed. A stepper failure, a non-finite state or a singular
-    verification factor aborts with :class:`IntegrationError` carrying
-    the lowest failing 1-based step index, and so does the first step
-    whose energy, work or ``hhat`` is not finite, where that comes first.
+    The loop only steps, handing each state it returns to the next step
+    as it stores it in the trajectory array. After each chunk of steps,
+    sized so its stacked 2n×2n matrices fit ``_VERIFY_BYTES``, the chunk's
+    states are checked for finiteness and its substituting maps are
+    verified in one stacked pass; the indirect scheme stacks the factors
+    its steps already computed. A stepper failure, a non-finite state or
+    a singular verification factor aborts with :class:`IntegrationError`
+    carrying the lowest failing 1-based step index, and so does the first
+    step whose energy, work or ``hhat`` is not finite, where that comes
+    first.
     """
     n_steps, tau, direct, step = _start(sys, z0, tau, n_steps, method, epsilon)
     K, C, n = sys.K, sys.C, sys.n
@@ -430,6 +434,7 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     norm2_indirect = np.full(n_steps, np.nan)
     chunk = _verify_chunk(n)
     failure = None
+    zk = z[0]
     try:
         for lo in range(1, n_steps + 1, chunk):
             hi = min(lo + chunk, n_steps + 1)
@@ -439,7 +444,8 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     for k in range(lo, hi):
-                        z[k], ks = step(z[k - 1])
+                        zk, ks = step(zk)
+                        z[k] = zk
                         if ks is not None:
                             ktilde[k - 1], valid[k - 1], substitute = ks
                             if substitute is not None:

@@ -19,10 +19,10 @@ rows for m ≥ 3, and all stacks and matrix right-hand sides.
 One factorization solved against many vectors, as a time stepper with a
 fixed transition map does, is prepared once by :func:`lu_solver` ("factor
 once, solve many", Golub & Van Loan, *Matrix Computations*, §3.1–3.2):
-the 2×2 factor floats, or the row views and bound product methods of the
-row loop, are taken then, not on every solve. ``lu_solve`` of one vector
-is ``lu_solver`` prepared and called once, so there is one one-vector
-implementation.
+the 2×2 factor floats, or the row loop's float pivots, one-element row
+floats and bound ``.dot`` methods of its row views, are taken then, not
+on every solve. ``lu_solve`` of one vector is ``lu_solver`` prepared and
+called once, so there is one one-vector implementation.
 
 The time-centered scheme's factors are M = [[I, D], [A, I]] with D =
 -(τ/2)·I: A = (τ/2)K + C for the direct scheme, (τ/2)(K + K̃) for the
@@ -59,7 +59,29 @@ elements with ``ndarray.dot``, the cheapest numpy call into the BLAS dot.
 ``.dot`` and ``@`` gave the same bits on every length of 2 or more under
 the SkylakeX, Haswell and Sandybridge OpenBLAS kernels. They differ at
 length 1, where ``.dot`` keeps the sign of a -0.0 product and ``@``
-returns +0.0, so one-element rows keep ``@``.
+returns +0.0 + a·x, so the one-element rows (forward row 1, back row
+m - 2) run as ``0.0 + a * x`` on Python floats, as the 2×2 solve does,
+and the pivots are taken as floats once per prepared solve.
+
+Above the float bound, the numpy row loop first tries a pass without its
+pivot search (:func:`_lu_unpivoted`), for the matrices, such as the
+time-centered scheme's Schur blocks, that would swap no row. A cheap
+pre-check admits only a matrix with 2·|a_kk| ≥ Σ_i |a_ik| in every
+column, which needs no swap in exact arithmetic (Golub & Van Loan,
+Thm 3.4.3); rounding can still break that, so the pass's result is kept
+only if every |l_ik| ≤ 1 and it is finite. For a finite nonzero pivot
+a_kk, |a_ik| ≤ |a_kk| holds exactly when |fl(a_ik/a_kk)| ≤ 1: division
+rounds monotonically, and |a_ik| > |a_kk| means |a_ik| ≥ |a_kk| +
+ulp(a_kk), a quotient above 1 + 2⁻⁵³ that rounds to at least 1 + 2⁻⁵².
+A NaN or zero pivot makes its column's l NaN or infinite, and an
+infinite one leaves the result not finite. So a kept result is one where
+``argmax`` would have kept row k in every column (it takes the first of
+equal maxima), and the pass did the loop's own operations in its order.
+The loop raises at its first pivot at or below the threshold; the pass
+raises there too, with the same pivot and threshold. A finite result
+also means no operation overflowed or was invalid, so the loop would
+have warned of nothing. Any other matrix runs the pivoting loop on the
+untouched input.
 """
 
 from __future__ import annotations
@@ -214,7 +236,8 @@ def _unit_rows(lu: np.ndarray) -> int:
 def _lu_rows(lu: np.ndarray, threshold, rows=None):
     """The row loop of ``_lu_factor_one`` against ``threshold``: on Python
     floats (``rows``, else ``lu``'s) up to the float bound, else on numpy
-    rows of ``lu``, in place, or of a copy after a float zero pivot."""
+    rows of ``lu``, in place, or of a copy after a float zero pivot. The
+    numpy loop is the pivot-free pass on a copy when that is kept."""
     m = len(lu)
     if 1 <= m <= _FLOAT_FACTOR_MAX:
         try:
@@ -222,6 +245,9 @@ def _lu_rows(lu: np.ndarray, threshold, rows=None):
         except ZeroDivisionError:
             lu = np.array(lu)
     perm = np.arange(m)
+    unpivoted = _lu_unpivoted(lu, threshold)
+    if unpivoted is not None:
+        return unpivoted, perm
     # A NaN entry makes the pivot test pass; as in a stack, what follows is silent.
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m):
@@ -238,6 +264,43 @@ def _lu_rows(lu: np.ndarray, threshold, rows=None):
             col /= lu[k, k]
             lu[k + 1 :, k + 1 :] -= col[:, None] * lu[k, k + 1 :]
     return lu, perm
+
+
+def _lu_unpivoted(lu: np.ndarray, threshold):
+    """The numpy row loop's factor of ``lu`` when it would swap no row,
+    else None; ``lu`` is not written.
+
+    A matrix with 2·|a_kk| ≥ Σ_i |a_ik| in every column is eliminated on
+    a copy by the loop's operations less its pivot search. The result is
+    kept if it is finite and every |l_ik| ≤ 1, which proves the loop
+    would have swapped no row (see the module docstring); its first
+    pivot at or below ``threshold`` then raises, as the loop's would."""
+    a = np.abs(lu)
+    if not (2.0 * a.diagonal() >= a.sum(axis=0)).all():
+        return None
+    u = lu.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(len(u) - 1):
+            col = u[k + 1 :, k]
+            col /= u[k, k]
+            u[k + 1 :, k + 1 :] -= col[:, None] * u[k, k + 1 :]
+    a = np.abs(u)
+    # A NaN fails both comparisons.
+    if not (a.max(initial=0.0) < np.inf and a[_strict_lower(len(u))].max(initial=0.0) <= 1.0):
+        return None
+    pivots = a.diagonal()
+    failed = np.flatnonzero(pivots <= threshold)
+    if failed.size:
+        raise SingularMatrixError(pivots[failed[0]], threshold)
+    return u
+
+
+@functools.cache
+def _strict_lower(m: int) -> np.ndarray:
+    """The read-only mask of the entries below the diagonal of an m×m matrix."""
+    mask = np.tri(m, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def _lu_factor_floats(rows: list, threshold):
@@ -375,28 +438,36 @@ def lu_solver(factorization):
 
 
 def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
-    """``lu_solver``'s row loop, with each row's view of ``lu`` and bound
-    product method taken once. Rows of two or more elements call
-    ``ndarray.dot``, cheaper per call than ``@`` and the same BLAS dot as
-    a stack's rows; one-element rows keep ``@``, as ``.dot`` keeps a -0.0
-    product. The last row's empty product is skipped (x - 0.0 is x).
+    """``lu_solver``'s row loop, with the pivots as Python floats and each
+    row's product taken once. Rows of two or more elements call the bound
+    ``ndarray.dot`` of their view, cheaper per call than ``@`` and the
+    same BLAS dot as a stack's rows. The one-element rows, forward row 1
+    and back row m - 2, are ``0.0 + a * x`` on floats, as ``@`` rounds
+    them (``.dot`` would keep a -0.0 product). The last row's empty
+    product is skipped (x - 0.0 is x). Each quotient's dividend is a
+    numpy scalar, so a zero pivot divides as numpy does.
 
     ``half`` = n skips rows 0..n-1 as :func:`_substitute` does. A result
     that is not finite (its dot with zeros is NaN, not ±0) is solved
     again by the full loop."""
     m = len(perm)
-    forward = [(k, lu[k, :k].dot if k > 1 else lu[k, :k].__matmul__)
-               for k in range(max(half, 1), m)]
-    back = [(k, lu[k, k + 1 :].dot if k < m - 2 else lu[k, k + 1 :].__matmul__, lu[k, k])
-            for k in range(m - 2, half - 1, -1)]
-    last = lu[-1, -1] if m else None
+    pivots = np.diagonal(lu).tolist()
+    forward = [(k, lu[k, :k].dot) for k in range(max(half, 2), m)]
+    back = [(k, lu[k, k + 1 :].dot, pivots[k]) for k in range(m - 3, half - 1, -1)]
+    # half is 0 or n ≥ 6 with m = 2n, so back row m - 2 is never skipped.
+    first = lu.item(1, 0) if m > 1 and not half else None
+    second = lu.item(-2, -1) if m > 1 else None
 
     def solve(b):
         x = b[perm]
+        if first is not None:
+            x[1] -= 0.0 + first * x.item(0)
         for k, product in forward:
             x[k] -= product(x[:k])
         if m:
-            x[-1] /= last
+            x[-1] /= pivots[-1]
+        if second is not None:
+            x[-2] = (x[-2] - (0.0 + second * x.item(-1))) / pivots[-2]
         for k, product, pivot in back:
             x[k] = (x[k] - product(x[k + 1 :])) / pivot
         return x

@@ -156,6 +156,16 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="method|epsilon"):
             dm.convergence_study(sys_2d, z0_2d, 0.2, 3, 2.0, method, epsilon)
 
+    @pytest.mark.parametrize("levels", [2.7, 2.0, True, np.nan, "2"])
+    def test_levels_that_are_not_integers_rejected(self, sys_1d, z0_1d, levels):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            dm.convergence_study(sys_1d, z0_1d, 0.1, levels, 10.0, "midpoint_direct")
+
+    def test_numpy_integer_levels_accepted(self, sys_1d, z0_1d):
+        table = dm.convergence_study(sys_1d, z0_1d, 0.1, np.int64(2), 10.0,
+                                     "midpoint_direct")
+        assert len(table.rows) == 2
+
     def test_multidim_uses_fine_rk4_reference(self, sys_2d, z0_2d):
         table = dm.convergence_study(sys_2d, z0_2d, 0.2, 3, 2.0,
                                      "midpoint_direct")

@@ -260,6 +260,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             run(sys_1d, z0_1d, 0.2, n_steps)
 
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan, 0.0, -0.1])
+    def test_rejects_step_sizes_that_are_not_positive_and_finite(self, sys_1d, z0_1d, tau):
+        for run in (dm.integrate, dm.propagate):
+            with pytest.raises(ValueError, match="step size"):
+                run(sys_1d, z0_1d, tau, 3)
+        with pytest.raises(ValueError, match="step size"):
+            dm.transition_matrices(sys_1d, None, tau)
+
     def test_accepts_numpy_integer_step_count(self, sys_1d, z0_1d):
         assert dm.integrate(sys_1d, z0_1d, 0.2, np.int64(3)).n_steps == 3
 
