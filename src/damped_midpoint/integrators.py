@@ -14,37 +14,6 @@ The midpoint step solves the linear factor-pair system M·z' = N·z with
 
 collected from the centered difference relations; the same builder with
 stiffness K + K̃ and zero damping yields the substituting scheme's pair.
-The factor pair of the direct scheme depends only on (K, C, τ), so it is
-constant along a trajectory: a run factors M once and prepares its solve
-once (``linalg.lu_solver``: float pivots and one-element rows, the BLAS
-dot for longer rows), and each direct step, and each probe step of the
-indirect scheme, is that solve of N.dot(z). ``ndarray.dot`` costs
-less per call than ``@`` and gave the same bits for every 2n×2n
-matrix-vector product tried, with signed zeros, infinities, NaN, 1e-300
-and 3e300 entries, under the SkylakeX, Haswell and Sandybridge OpenBLAS
-kernels; the two differ only for one-element products, and 2n ≥ 2. The
-indirect scheme's substituting factor changes with K̃ every step, so each
-step factors it and solves it once (``linalg.lu_solve``).
-
-RK4's stage updates and final combination, the indirect step's K̃ and
-the n entries its substituting pair writes run on Python floats at every
-n, where numpy's per-call cost exceeds the arithmetic. Elementwise
-operations round the same either way, so these are bit for bit the
-numpy ones; every product of two or more terms (N·z, C·Δq, K·q, C·p)
-stays numpy. K̃'s float form sits in ``system`` by its array form, which
-it falls back to where τ·(q' + q) underflows to 0; ``linalg.lu_factor``
-picks its own float loop for small factors.
-
-K̃ is diagonal, so two substituting pairs of one run differ only in the n
-diagonal entries of their lower-left blocks. A run builds the pair with
-K̃ = 0 once, as a template, and each step copies it and writes those n
-entries, rounded as the full builder rounds them (see
-``_substituting_pairs``).
-
-The substituting scheme's defect is a check that no later step depends
-on, so ``integrate`` defers it: the steps of one chunk are verified
-together in one stacked factor → solve → FᵀJF - J pass, whose items are
-bit for bit the per-step values.
 """
 
 from __future__ import annotations
@@ -92,11 +61,13 @@ def scheme_factors(K, C, tau: float):
     m[..., idx, idx] = 1.0
     m[..., n + idx, n + idx] = 1.0
     m[..., idx, n + idx] = -half
-    m[..., n:, :n] = half * K + C
     nn[..., idx, idx] = 1.0
     nn[..., n + idx, n + idx] = 1.0
     nn[..., idx, n + idx] = half
-    nn[..., n:, :n] = C - half * K
+    # (τ/2)·K may overflow to inf, silently; the factor then fails its pivot test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m[..., n:, :n] = half * K + C
+        nn[..., n:, :n] = C - half * K
     return m, nn
 
 
@@ -169,9 +140,14 @@ def _rk4(K, C, tau):
 def _step_kernel(K, C, tau, method, epsilon, direct):
     """The one-step map z ↦ (z', ks) of ``method`` on the state z = (q, p).
 
-    ``direct`` is the direct scheme's ``(factorization, N)`` pair; RK4
-    ignores it. Its solve is prepared once (``linalg.lu_solver``), and
-    each direct step and indirect probe is ``solve1(N.dot(z))``. ``ks`` is
+    ``direct`` is the direct scheme's ``(factorization, N)`` pair, which
+    depends only on (K, C, τ); RK4 ignores it. Its solve is prepared once
+    (``linalg.lu_solver``), and each direct step and indirect probe is
+    ``solve1(N.dot(z))``. ``ndarray.dot`` costs less per call than ``@``
+    and gave the same bits for every 2n×2n matrix-vector product tried,
+    with signed zeros, infinities, NaN, 1e-300 and 3e300 entries, under
+    the SkylakeX, Haswell and Sandybridge OpenBLAS kernels; the two differ
+    only for one-element products, and 2n ≥ 2. ``ks`` is
     None except for the indirect scheme, which reports
     ``(diag, valid, substitute)``: the step's equivalent stiffness as
     float lists and, when every component is valid, the substituting

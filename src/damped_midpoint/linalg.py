@@ -6,82 +6,18 @@ sparse or iterative machinery.
 
 Small single problems run on Python floats, where numpy's per-call cost
 exceeds the arithmetic: the factor of one m×m matrix with 1 ≤ m ≤ 10, and
-the solve of one 2×2 factorization with one vector. At m = 10 to 11 the
-float loop and the numpy loop cost the same. Elementwise float
+the solve of one 2×2 factorization with one vector. Elementwise float
 operations (divide, multiply, subtract, abs, compare) round the same in
 Python as in numpy, so these paths are bit for bit the numpy loops (up
 to the sign of a NaN, which numpy itself does not fix). A BLAS dot of
 length 2 or more rounds by the CPU's kernel (a fused multiply-add chain
 on some, multiply then add on others), and Python has no fused
-multiply-add before 3.13, so every such dot stays in numpy: the solve's
-rows for m ≥ 3, and all stacks and matrix right-hand sides.
+multiply-add before 3.13, so every such dot stays in numpy.
 
-One factorization solved against many vectors, as a time stepper with a
-fixed transition map does, is prepared once by :func:`lu_solver` ("factor
-once, solve many", Golub & Van Loan, *Matrix Computations*, §3.1–3.2):
-the 2×2 factor floats, or the row loop's float pivots, one-element row
-floats and bound ``.dot`` methods of its row views, are taken then, not
-on every solve. ``lu_solve`` of one vector is ``lu_solver`` prepared and
-called once, so there is one one-vector implementation.
-
-The time-centered scheme's factors are M = [[I, D], [A, I]] with D =
--(τ/2)·I: A = (τ/2)K + C for the direct scheme, (τ/2)(K + K̃) for the
-substituting system. One such matrix above the float bound is factored
-through its n×n Schur block S = I - A·D (Golub & Van Loan, §3.2 and
-§3.4), bit for bit the full row loop, when both I blocks and the
-off-diagonal of D hold +0.0 exactly, every |A| ≤ 1 with no -0.0 in A, and
-1 exceeds the pivot threshold. Then each of the first n columns pivots on
-its own row: its pivot is 1, no entry below it is larger, and ``argmax``
-takes the first maximum. Every other update in those columns subtracts a
-±0 product, which leaves an entry that is not -0.0 as it was (only
--0.0 - (-0.0) makes +0.0). The entries that change are those of the last
-block, each by one multiply and one subtract: S. The row loop then
-factors S against the whole matrix's threshold, and rows n.. of L are A
-permuted by S's pivots. Any other matrix, and every stack, runs the full
-loop.
-
-The solve takes the same blocks apart. A factorization of 2n rows,
-above the float bound, whose first n rows are [I | diag(D)] bit for bit,
-as those factors' are, has forward rows 1..n-1 that are dots of +0.0
-rows and back rows n-1..0 that each hold one nonzero product over a unit
-pivot. Its solve runs rows n..2n-1 both ways and then
-x[:n] -= 0.0 + d·x[n:]. For finite x, the dot of a +0.0 row is +0.0 and
-that of a row with one nonzero a is 0.0 + a·x, through ``ndarray.dot``,
-``@`` and stacked ``np.matmul`` under the SkylakeX, Haswell and
-Sandybridge OpenBLAS kernels (the tests check this on each), so the
-result is bit for bit the full loop's. A result that is not finite is
-solved again by the full loop, as 0·inf = NaN in the skipped dots. The
-shape is read from the factorization's bits, not from how it was made;
-a stack skips rows only if every item has it.
-
-The one-vector solve for m ≥ 3 takes each row product of two or more
-elements with ``ndarray.dot``, the cheapest numpy call into the BLAS dot.
-``.dot`` and ``@`` gave the same bits on every length of 2 or more under
-the SkylakeX, Haswell and Sandybridge OpenBLAS kernels. They differ at
-length 1, where ``.dot`` keeps the sign of a -0.0 product and ``@``
-returns +0.0 + a·x, so the one-element rows (forward row 1, back row
-m - 2) run as ``0.0 + a * x`` on Python floats, as the 2×2 solve does,
-and the pivots are taken as floats once per prepared solve.
-
-Above the float bound, the numpy row loop first tries a pass without its
-pivot search (:func:`_lu_unpivoted`), for the matrices, such as the
-time-centered scheme's Schur blocks, that would swap no row. A cheap
-pre-check admits only a matrix with 2·|a_kk| ≥ Σ_i |a_ik| in every
-column, which needs no swap in exact arithmetic (Golub & Van Loan,
-Thm 3.4.3); rounding can still break that, so the pass's result is kept
-only if every |l_ik| ≤ 1 and it is finite. For a finite nonzero pivot
-a_kk, |a_ik| ≤ |a_kk| holds exactly when |fl(a_ik/a_kk)| ≤ 1: division
-rounds monotonically, and |a_ik| > |a_kk| means |a_ik| ≥ |a_kk| +
-ulp(a_kk), a quotient above 1 + 2⁻⁵³ that rounds to at least 1 + 2⁻⁵².
-A NaN or zero pivot makes its column's l NaN or infinite, and an
-infinite one leaves the result not finite. So a kept result is one where
-``argmax`` would have kept row k in every column (it takes the first of
-equal maxima), and the pass did the loop's own operations in its order.
-The loop raises at its first pivot at or below the threshold; the pass
-raises there too, with the same pivot and threshold. A finite result
-also means no operation overflowed or was invalid, so the loop would
-have warned of nothing. Any other matrix runs the pivoting loop on the
-untouched input.
+The time-centered scheme's factors [[I, D], [A, I]] are factored through
+their Schur block (:func:`_scheme_half`) and solved without the rows
+their structure makes known (:func:`_substitute`), bit for bit the full
+loops.
 """
 
 from __future__ import annotations
@@ -175,11 +111,9 @@ def _lu_factor_one(a: np.ndarray):
     """``lu_factor`` of one (m, m) matrix, which it does not write: the
     stacked kernel's operations on a single item. The first pivot at or
     below the threshold raises, with the value the stacked kernel reports;
-    up to the float bound, the threshold is taken on the float rows.
-
-    A scheme-shaped matrix [[I, D], [A, I]] (see :func:`_scheme_half`)
-    keeps rows 0..n-1 as its first n pivots, so only its Schur block
-    S = I - A·D is factored; rows n.. of L are A permuted by S's pivots.
+    up to the float bound, the threshold is taken on the float rows. A
+    matrix that :func:`_scheme_half` admits is factored through its Schur
+    block.
     """
     if 1 <= len(a) <= _FLOAT_FACTOR_MAX:
         rows = a.tolist()
@@ -198,10 +132,23 @@ def _lu_factor_one(a: np.ndarray):
 
 
 def _scheme_half(lu: np.ndarray, threshold) -> int:
-    """n when the (2n, 2n) matrix ``lu``, 2n above the float bound, is
-    [[I, D], [A, I]] bit for bit: both I blocks and the off-diagonal of
-    D hold +0.0, every |A| <= 1, A holds no -0.0, and 1 > threshold.
-    Otherwise 0; a matrix at or below the float bound returns at once."""
+    """n when the (2n, 2n) matrix ``lu``, 2n above the float bound, is a
+    scheme factor [[I, D], [A, I]] bit for bit, with D = -(τ/2)·I and A =
+    (τ/2)K + C (direct scheme) or (τ/2)(K + K̃) (substituting system):
+    both I blocks and the off-diagonal of D hold +0.0, every |A| <= 1, A
+    holds no -0.0, and 1 > threshold. Otherwise 0; a matrix at or below
+    the float bound returns at once.
+
+    Such a matrix factors through its n×n Schur block S = I - A·D (Golub &
+    Van Loan, *Matrix Computations*, §3.2 and §3.4) bit for bit as the
+    full row loop. Each of its first n columns pivots on its own row: the
+    pivot is 1, no entry below it is larger, and ``argmax`` takes the
+    first maximum. Every other update in those columns subtracts a ±0
+    product, which leaves an entry that is not -0.0 as it was (only
+    -0.0 - (-0.0) makes +0.0). The entries that change are those of the
+    last block, each by one multiply and one subtract: S. The row loop
+    then factors S against the whole matrix's threshold, and rows n.. of
+    L are A permuted by S's pivots."""
     n = _unit_rows(lu)
     if not n or not 1.0 > threshold:
         return 0
@@ -236,8 +183,7 @@ def _unit_rows(lu: np.ndarray) -> int:
 def _lu_rows(lu: np.ndarray, threshold, rows=None):
     """The row loop of ``_lu_factor_one`` against ``threshold``: on Python
     floats (``rows``, else ``lu``'s) up to the float bound, else on numpy
-    rows of ``lu``, in place, or of a copy after a float zero pivot. The
-    numpy loop is the pivot-free pass on a copy when that is kept."""
+    rows of ``lu``, in place, or of a copy after a float zero pivot."""
     m = len(lu)
     if 1 <= m <= _FLOAT_FACTOR_MAX:
         try:
@@ -245,9 +191,6 @@ def _lu_rows(lu: np.ndarray, threshold, rows=None):
         except ZeroDivisionError:
             lu = np.array(lu)
     perm = np.arange(m)
-    unpivoted = _lu_unpivoted(lu, threshold)
-    if unpivoted is not None:
-        return unpivoted, perm
     # A NaN entry makes the pivot test pass; as in a stack, what follows is silent.
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m):
@@ -264,43 +207,6 @@ def _lu_rows(lu: np.ndarray, threshold, rows=None):
             col /= lu[k, k]
             lu[k + 1 :, k + 1 :] -= col[:, None] * lu[k, k + 1 :]
     return lu, perm
-
-
-def _lu_unpivoted(lu: np.ndarray, threshold):
-    """The numpy row loop's factor of ``lu`` when it would swap no row,
-    else None; ``lu`` is not written.
-
-    A matrix with 2·|a_kk| ≥ Σ_i |a_ik| in every column is eliminated on
-    a copy by the loop's operations less its pivot search. The result is
-    kept if it is finite and every |l_ik| ≤ 1, which proves the loop
-    would have swapped no row (see the module docstring); its first
-    pivot at or below ``threshold`` then raises, as the loop's would."""
-    a = np.abs(lu)
-    if not (2.0 * a.diagonal() >= a.sum(axis=0)).all():
-        return None
-    u = lu.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(len(u) - 1):
-            col = u[k + 1 :, k]
-            col /= u[k, k]
-            u[k + 1 :, k + 1 :] -= col[:, None] * u[k, k + 1 :]
-    a = np.abs(u)
-    # A NaN fails both comparisons.
-    if not (a.max(initial=0.0) < np.inf and a[_strict_lower(len(u))].max(initial=0.0) <= 1.0):
-        return None
-    pivots = a.diagonal()
-    failed = np.flatnonzero(pivots <= threshold)
-    if failed.size:
-        raise SingularMatrixError(pivots[failed[0]], threshold)
-    return u
-
-
-@functools.cache
-def _strict_lower(m: int) -> np.ndarray:
-    """The read-only mask of the entries below the diagonal of an m×m matrix."""
-    mask = np.tri(m, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
 
 
 def _lu_factor_floats(rows: list, threshold):
@@ -372,12 +278,15 @@ def _substitute(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
     """``lu_solve``'s row loop for stacks and matrix right-hand sides.
 
     With ``half`` = n, every factorization's rows 0..n-1 are [I | diag(D)]
-    (:func:`_unit_rows`): forward rows 1..n-1 are dots of +0.0 rows,
-    which leave x as it is, and back rows n-1..0 each hold one nonzero
-    product over a unit pivot, 0.0 + d·x[n + k], so all n are one
-    elementwise update. Both are the BLAS products' bits while x is
-    finite (a +0.0 dot sums to +0.0); the caller reruns with ``half`` = 0
-    when x is not.
+    (:func:`_unit_rows`), as a scheme factor's are: forward rows 1..n-1
+    are dots of +0.0 rows, which leave x as it is, and back rows n-1..0
+    each hold one nonzero product over a unit pivot, 0.0 + d·x[n + k], so
+    all n are one elementwise update. For finite x these are the bits of
+    every product the loop calls (``ndarray.dot``, ``@`` and stacked
+    ``np.matmul``) under the SkylakeX, Haswell and Sandybridge OpenBLAS
+    kernels, which the tests check on each. A skipped dot with an
+    infinite x would be NaN, not ±0, so the caller reruns with ``half`` =
+    0 when x is not finite.
     """
     m = lu.shape[-1]
     x = b[perm] if perm.ndim == 1 else b[np.arange(len(perm))[:, None], perm]

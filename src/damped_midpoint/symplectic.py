@@ -116,8 +116,10 @@ def factored_symplectic_defect(a, b, form=None):
     b, _ = _validated_pair(b, j, stacked=True)
     if b.shape != a.shape:
         raise DimensionError(f"factor shapes differ: {a.shape} vs {b.shape}")
-    return _frobenius(np.matmul(np.matmul(a, j), a.swapaxes(-1, -2))
-                      - np.matmul(np.matmul(b, j), b.swapaxes(-1, -2)))
+    # Factors near the float limit give an infinite or NaN defect, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frobenius(np.matmul(np.matmul(a, j), a.swapaxes(-1, -2))
+                          - np.matmul(np.matmul(b, j), b.swapaxes(-1, -2)))
 
 
 def cayley(b) -> np.ndarray:

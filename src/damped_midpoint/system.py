@@ -186,14 +186,15 @@ def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarra
     midpoint. Where |q_k1[i] + q_k[i]| falls at or below ``epsilon`` times
     the component scale the quotient is singular: the entry is zero and
     flagged invalid. Rows of (N, n) coordinate stacks give N steps. Where
-    τ·(q_k1[i] + q_k[i]) underflows to 0, a valid entry is ±inf or NaN, silently.
+    τ·(q_k1[i] + q_k[i]) underflows to 0, a valid entry is ±inf or NaN;
+    this and any overflow are silent.
     """
-    delta = q_k1 - q_k
-    total = q_k1 + q_k
-    scale = np.maximum(np.maximum(np.abs(q_k1), np.abs(q_k)), _FLOOR)
-    valid = np.abs(total) > epsilon * scale
-    diag = np.zeros_like(total)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta = q_k1 - q_k
+        total = q_k1 + q_k
+        scale = np.maximum(np.maximum(np.abs(q_k1), np.abs(q_k)), _FLOOR)
+        valid = np.abs(total) > epsilon * scale
+        diag = np.zeros_like(total)
         np.divide(2.0 * _matvec(C, delta), tau * total, out=diag, where=valid)
     return diag, valid
 

@@ -388,6 +388,35 @@ class TestArtifacts:
         assert rc == code, capsys.readouterr().err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("sub, system, initial, tau, code", [
+        ("compare", ([[1e308]], [[0.0]]), ([0.0], [0.0]), 1e10, cli.EXIT_SOLVER),
+        ("check-symplectic", ([[1e308]], [[0.0]]), ([0.0], [0.0]), 1e10, cli.EXIT_SOLVER),
+        ("check-symplectic", ([[-0.3]], [[-1e-320]]), ([0.0], [0.0]), 1e300, 0),
+        ("check-symplectic", ([[-0.0]], [[-1e-300]]), ([1e308], [7.0]), 1000.0, 0),
+    ], ids=["scheme-factors-compare", "scheme-factors-check", "factor-defect", "ktilde-sum"])
+    def test_overflow_warns_nothing(self, tmp_path, capsys, sub, system, initial, tau, code):
+        """Arithmetic past the float limit is silent: (τ/2)·K in the scheme
+        factors, whose direct factor then fails at step 1; the factor-pair
+        defect's products; and K̃'s q' + q."""
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "system": {"K": system[0], "C": system[1]},
+            "initial": {"q": initial[0], "p": initial[1]},
+            "tau": tau,
+            "n_steps": 5,
+        }))
+        prefix = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli([sub, "--config", config, "--out", prefix])
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if code:
+            assert strict_json(err)["error"]["step"] == 1
+        else:
+            strict_json((tmp_path / "x.symplectic.json").read_text(encoding="utf-8"))
+
 
 class TestParser:
     def test_one_parser_serves_every_call(self, tmp_path, capsys):

@@ -8,8 +8,8 @@ float loops take. These runs take the numpy paths of ``linalg``:
   scheme factors go through their 6×6 Schur block, and its solves skip
   the rows the block structure makes known;
 - the benchmark's seeded 16-DOF system (``dense-16d`` at seed 0): its
-  16×16 Schur blocks take the pivot-free pass of the numpy row loop, and
-  its factors with some |A| > 1 the full 32×32 pivoting loop.
+  16×16 Schur blocks take the numpy row loop, and so do its factors with
+  some |A| > 1, at their full 32×32.
 
 The SkylakeX digest of ``symplectic-16d-indirect`` is the benchmark's
 ``dense-16d`` digest at 80 steps. The kernel is read as

@@ -198,9 +198,9 @@ def test_rowdot_is_bitwise_per_row(m):
 def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
     """On the benchmark's seeded 16-DOF system (``dense-16d`` at seed 0,
     80 indirect steps), the direct factor and the substituting factors
-    with every |A| ≤ 1 reach the row loop as their 16×16 Schur block,
-    which the pivot-free pass factors; the ones with some |A| > 1 run the
-    full 32×32 pivoting loop. Each is bit for bit the stacked kernel's."""
+    with every |A| ≤ 1 reach the row loop as their 16×16 Schur block; the
+    ones with some |A| > 1 run the full 32×32 loop. Each is bit for bit
+    the stacked kernel's."""
     n, rng = 16, np.random.default_rng(0)
     a = rng.integers(-3, 4, size=(n, n))
     b = rng.integers(-1, 2, size=(n, n))
@@ -212,18 +212,12 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
     matrices = [dm.scheme_factors(sys_.K, sys_.C, 0.2)[0]]
     matrices += [pairs(d)[0] for d in tr.ktilde[~tr.singular]]
     sizes = []
-    row_loop, unpivoted = linalg._lu_rows, linalg._lu_unpivoted
+    row_loop = linalg._lu_rows
 
     def counted_row_loop(lu, threshold):
         sizes.append(len(lu))
         return row_loop(lu, threshold)
-
-    def counted_unpivoted(lu, threshold):
-        kept = unpivoted(lu, threshold)
-        sizes.append(kept is not None)
-        return kept
     monkeypatch.setattr(linalg, "_lu_rows", counted_row_loop)
-    monkeypatch.setattr(linalg, "_lu_unpivoted", counted_unpivoted)
     halves = []
     row_solver, substitute = linalg._row_solver, linalg._substitute
 
@@ -242,12 +236,7 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         sizes.clear()
         lu, perm = lu_factor(m)
         qualifies = np.abs(m[n:, :n]).max() <= 1.0
-        # The Schur block is factored by the pivot-free pass; a full
-        # matrix fails its column-dominance pre-check and runs the
-        # pivoting loop.
-        assert sizes == ([n, True] if qualifies else [2 * n, False])
-        if not qualifies:
-            assert not (2.0 * np.abs(np.diag(m)) >= np.abs(m).sum(axis=0)).all()
+        assert sizes == ([n] if qualifies else [2 * n])
         schur += qualifies
         stacked = lu_factor(m[None])
         assert lu.tobytes() == stacked[0][0].tobytes()
@@ -301,7 +290,8 @@ def test_zero_row_products_round_as_the_structured_solve_assumes():
 
 def column_dominant(m, rng):
     """An (m, m) matrix with |a_kk| at least 1.01 times Σ_{i≠k} |a_ik| in
-    every column, so 2·|a_kk| ≥ Σ_i |a_ik| holds in floats too."""
+    every column, which partial pivoting factors without a row swap in
+    exact arithmetic (Golub & Van Loan, *Matrix Computations*, Thm 3.4.3)."""
     a = rng.uniform(-1.0, 1.0, (m, m))
     np.fill_diagonal(a, 0.0)
     scale = rng.uniform(1.01, 2.0, m) * rng.choice([-1.0, 1.0], m)
@@ -318,20 +308,6 @@ def factor_outcome(factor, a):
     return lu.tobytes(), perm.tobytes()
 
 
-@pytest.fixture
-def unpivoted(monkeypatch):
-    """What each ``_lu_unpivoted`` call returned: True for a kept factor,
-    False for None; a call that raised appends nothing."""
-    kept, original = [], linalg._lu_unpivoted
-
-    def spy(lu, threshold):
-        result = original(lu, threshold)
-        kept.append(result is not None)
-        return result
-    monkeypatch.setattr(linalg, "_lu_unpivoted", spy)
-    return kept
-
-
 def assert_factors_as_reference(a):
     """Assert ``lu_factor(a)`` is bit for bit the reference, which raises
     alike, and leaves ``a`` as it was; return the outcome."""
@@ -345,88 +321,76 @@ def assert_factors_as_reference(a):
 
 
 @pytest.mark.parametrize("m", [11, 16, 32])
-def test_column_dominant_matrices_skip_the_pivot_search(m, unpivoted):
-    assert_factors_as_reference(column_dominant(m, np.random.default_rng(m)))
-    assert unpivoted == [True]
+def test_column_dominant_matrices_skip_the_pivot_search(m):
+    """Each column's search keeps its own row."""
+    a = column_dominant(m, np.random.default_rng(m))
+    assert_factors_as_reference(a)
+    assert lu_factor(a)[1].tolist() == list(range(m))
 
 
-def test_exact_ties_keep_the_pivot_row(unpivoted):
+def test_exact_ties_keep_the_pivot_row():
     """|a_ik| = |a_kk| makes l_ik = ±1, and ``argmax`` keeps the first of
-    equal maxima, so the pass keeps row k as the loop does."""
+    equal maxima, so the loop keeps row k."""
     blocks = [[[2.0, 1.0], [2.0, 4.0]], [[2.0, 1.0], [-2.0, 4.0]]]
     a = np.kron(np.eye(8), blocks[0]) + np.kron(np.diag([0.0, 1.0] * 4),
                                                 np.subtract(blocks[1], blocks[0]))
     assert sorted(set(np.abs(a[1::2, ::2].diagonal()))) == [2.0]
     assert_factors_as_reference(a)
-    assert unpivoted == [True]
+    assert lu_factor(a)[1].tolist() == list(range(16))
 
 
-def test_a_column_that_is_not_dominant_runs_the_pivoting_loop(unpivoted):
+def test_a_column_that_is_not_dominant_runs_the_pivoting_loop():
     a = column_dominant(16, np.random.default_rng(5))
     a[-1, -1] = 0.5 * np.abs(a[:-1, -1]).sum()
     assert_factors_as_reference(a)
-    assert unpivoted == [False]
 
 
-def test_rounding_that_breaks_dominance_runs_the_pivoting_loop(unpivoted):
-    """Columns 0 and 1 pass the pre-check with no margin (|l_10| + |l_20| = 1
-    and |a_11| = |a_01| + |a_21| before rounding), and the rounded update
-    leaves |a_21| one ulp above |a_11|: the loop swaps rows 1 and 2, the
-    pass finds |l_21| = 1 + 2⁻⁵² and is not kept."""
+def test_rounding_that_breaks_dominance_runs_the_pivoting_loop():
+    """Columns 0 and 1 are dominant with no margin (|l_10| + |l_20| = 1 and
+    |a_11| = |a_01| + |a_21| before rounding), and the rounded update
+    leaves |a_21| one ulp above |a_11|: the loop swaps rows 1 and 2."""
     x, t = 0.31183145201048545, 3.7945977885489754
     a = np.eye(16)
     a[:3, :3] = [[1.0, 1.0, 0.0], [x, 1.0 + t, 0.0], [x - 1.0, t, 5.0]]
     assert (2.0 * np.abs(np.diag(a)) >= np.abs(a).sum(axis=0)).all()
     assert_factors_as_reference(a)
-    assert unpivoted == [False]
     assert lu_factor(a)[1][:3].tolist() == [0, 2, 1]
 
 
-def test_a_small_mid_column_pivot_raises_as_the_loop(unpivoted):
-    """Column 7 holds only a pivot far below the threshold. No entry under
-    it is larger, so the pass keeps its factor and raises at column 7,
-    with the pivot and threshold the loop reports."""
+def test_a_small_mid_column_pivot_raises_as_the_loop():
+    """Column 7 holds only a pivot far below the threshold, and the loop
+    raises there with that pivot."""
     a = column_dominant(16, np.random.default_rng(7))
     a[:, 7] = a[7, :] = 0.0
     a[7, 7] = 1e-20
     assert assert_factors_as_reference(a)[:2] == ("singular", 1e-20)
-    assert unpivoted == []
 
 
-def test_a_zero_mid_column_pivot_falls_back_to_the_loop(unpivoted):
-    """0/0 makes the column's l NaN, so the pivoting loop reruns and raises."""
+def test_a_zero_mid_column_pivot_falls_back_to_the_loop():
+    """A zero column raises at its pivot, 0."""
     a = column_dominant(16, np.random.default_rng(8))
     a[:, 7] = a[7, :] = 0.0
     assert assert_factors_as_reference(a)[:2] == ("singular", 0.0)
-    assert unpivoted == [False]
 
 
-@pytest.mark.parametrize("entry, value, kept", [
-    ((5, 2), np.nan, False),    # the pre-check's sum is NaN
+@pytest.mark.parametrize("entry, value, finite", [
+    ((5, 2), np.nan, False),    # a NaN threshold: no pivot fails
     ((2, 2), np.nan, False),
-    ((5, 2), np.inf, False),    # column 2 is not dominant
+    ((5, 2), np.inf, False),    # an infinite threshold: the first pivot fails
     ((5, 2), -np.inf, False),
-    ((2, 2), np.inf, False),    # dominant, but the factor is not finite
+    ((2, 2), np.inf, False),
     ((2, 2), -np.inf, False),
     ((5, 2), -0.0, True),
     ((5, 2), 5e-324, True),
     ((2, 5), -5e-324, True),
 ])
-def test_special_entries_factor_as_the_reference(entry, value, kept, unpivoted):
+def test_special_entries_factor_as_the_reference(entry, value, finite):
+    """``finite``: whether the matrix gets a finite factor."""
     a = column_dominant(16, np.random.default_rng(9))
     a[entry] = value
-    assert_factors_as_reference(a)
-    assert unpivoted == [kept]
-
-
-def test_the_pass_leaves_its_input_unwritten():
-    a = column_dominant(16, np.random.default_rng(10))
-    threshold = 1e-13 * np.abs(a).max()
-    for value, kept in ((1.0, True), (np.inf, False)):
-        a[3, 3] *= value
-        given = a.tobytes()
-        assert (linalg._lu_unpivoted(a, threshold) is not None) == kept
-        assert a.tobytes() == given
+    outcome = assert_factors_as_reference(a)
+    assert (outcome[0] != "singular" and np.isfinite(np.frombuffer(outcome[0])).all()) \
+        == finite
 
 
 @pytest.mark.parametrize("m, scheme", [(3, False), (4, False), (12, False), (12, True)])
