@@ -202,15 +202,22 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 # --- formatting and atomic output -----------------------------------------
 
+#: Characters of text ``_write_atomic`` encodes and writes at a time.
+_WRITE_SLICE_CHARS = 1 << 16
+
+
 def _write_atomic(path: Path, text: str):
-    """Write ``text`` to ``path`` through a temp file of a unique name in
-    the same directory, renamed over ``path``; a failed write removes the
-    temp file. The file gets the permissions a plain ``open`` gives."""
+    """Write ``text`` to ``path`` as UTF-8 through a temp file of a unique
+    name in the same directory, renamed over ``path``; a failed write
+    removes the temp file. The file gets the permissions a plain ``open``
+    gives. The text is encoded a slice at a time, so its whole encoded
+    copy is never held."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            for lo in range(0, len(text), _WRITE_SLICE_CHARS):
+                fh.write(text[lo:lo + _WRITE_SLICE_CHARS].encode("utf-8"))
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -220,18 +227,21 @@ def _write_atomic(path: Path, text: str):
         raise
 
 
-#: Rows per CSV formatting block. Formatting whole columns at once would
-#: hold every cell string of a long run at the same time (about 5 MiB
-#: more peak memory at 20 000 rows); one block's cells are freed before
-#: the next is formatted.
+#: Rows per CSV formatting block. A block's cells are formatted from its
+#: slice of each column (an array slice becomes Python values only then)
+#: and joined into one string at once, so rendering holds the block
+#: strings and, at the end, their join: never every row string, nor an
+#: array column as Python values.
 _CSV_BLOCK_ROWS = 256
 
 
 def _cells(column) -> list[str]:
-    """One CSV column rendered as the kind of its first value that is not
-    None: ints (the step) by ``str``, bools as ``true``/``false``, floats
-    at 17 significant digits. None renders as an empty cell. A column of
-    ``str`` (a run constant, formatted once) is its own cells."""
+    """One CSV column block (an array's as Python values) rendered as the
+    kind of its first value that is not None: ints (the step) by ``str``,
+    bools as ``true``/``false``, floats at 17 significant digits. None is
+    an empty cell. A column of ``str`` (a run constant) is its own cells."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
     kind = next((x for x in column if x is not None), None)
     if isinstance(kind, str):
         return column
@@ -243,13 +253,14 @@ def _cells(column) -> list[str]:
 
 
 def _csv(header: list[str], columns) -> str:
-    """CSV text of equal-length columns under ``header``, formatted a
-    block of rows at a time, column by column."""
-    lines = [",".join(header)]
+    """CSV text of equal-length columns (lists, ``range``s or 1-D arrays)
+    under ``header``, formatted a block of rows at a time, column by
+    column."""
+    blocks = [",".join(header) + "\n"]
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         cells = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns]
-        lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(blocks)
 
 
 def _json_text(obj) -> str:
@@ -303,11 +314,12 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"p_{i}" for i in range(n)]
               + ["E", "work_cum", "hhat", "defect_direct", "defect_indirect", "singular"])
     e0 = report.initial_energy
-    columns = [range(tr.n_steps + 1), tr.t.tolist(), *tr.q.T.tolist(), *tr.p.T.tolist(),
-               [e0, *tr.energy.tolist()], [0.0, *report.work_cumulative[1:].tolist()],
-               [e0, *tr.hhat.tolist()], [""] + ["%.17g" % tr.defect_direct] * tr.n_steps,
+    columns = [range(tr.n_steps + 1), tr.t, *tr.q.T, *tr.p.T,
+               np.concatenate(([e0], tr.energy)), report.work_cumulative,
+               np.concatenate(([e0], tr.hhat)),
+               [""] + ["%.17g" % tr.defect_direct] * tr.n_steps,
                [None, *_nonsingular_only(tr, tr.defect_indirect)],
-               [False, *tr.singular.tolist()]]
+               np.concatenate(([False], tr.singular))]
     return _csv(header, columns)
 
 
@@ -377,10 +389,9 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
         header += [f"{name}_E", f"{name}_hhat"]
     reports = {name: energy_report(tr) for name, tr in runs.items()}
     steps = np.arange(cfg.n_steps + 1)
-    columns = [steps.tolist(), (cfg.initial.t + steps * cfg.tau).tolist()]
+    columns = [steps, cfg.initial.t + steps * cfg.tau]
     for name, tr in runs.items():
-        columns += [*tr.q.T.tolist(), *tr.p.T.tolist(), reports[name].energy.tolist(),
-                    reports[name].hhat.tolist()]
+        columns += [*tr.q.T, *tr.p.T, reports[name].energy, reports[name].hhat]
 
     direct_states = np.hstack((runs["direct"].q, runs["direct"].p))
     indirect_states = np.hstack((runs["indirect"].q, runs["indirect"].p))
@@ -436,15 +447,14 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
     for lo in range(0, len(nonsingular_steps), chunk):
         k = nonsingular_steps[lo:lo + chunk]
         factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
-    singular = tr.singular.tolist()
-    columns = [range(1, tr.n_steps + 1), tr.t[1:].tolist(),
+    columns = [range(1, tr.n_steps + 1), tr.t[1:],
                ["%.17g" % tr.defect_direct] * tr.n_steps,
                _nonsingular_only(tr, tr.defect_indirect),
                ["%.17g" % factor_direct] * tr.n_steps,
-               _nonsingular_only(tr, factor_indirect), singular]
+               _nonsingular_only(tr, factor_indirect), tr.singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
-    nonsingular = singular.count(False)
+    nonsingular = len(nonsingular_steps)
     direct = scaled_verdict([tr.defect_direct], [tr.norm2_direct])
     indirect = scaled_verdict(tr.defect_indirect[nonsingular_steps],
                               tr.norm2_indirect[nonsingular_steps])

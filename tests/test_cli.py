@@ -1,8 +1,10 @@
 """Command-line interface: artifacts, determinism, error contracts."""
 
+import errno
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -471,6 +473,119 @@ class TestWriteAtomic:
         (tmp_path / "plain").write_text("")
         cli._write_atomic(tmp_path / "atomic", "")
         assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    @pytest.mark.parametrize("slices, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["0", "W-1", "W", "W+1", "3W+5"])
+    def test_slices_encode_as_the_whole_text(self, tmp_path, slices, extra):
+        """Each slice of W characters is encoded on its own; characters of
+        two, three and four UTF-8 bytes on either side of every slice
+        boundary, and at both ends, come out as the whole text's encoding."""
+        width = cli._WRITE_SLICE_CHARS
+        length = slices * width + extra
+        ends = {0, length - 1} | {i for b in range(width, length, width) for i in (b - 1, b)}
+        text = "".join("é€😀"[i % 3] if i in ends else "a" for i in range(length))
+        cli._write_atomic(tmp_path / "out.csv", text)
+        assert (tmp_path / "out.csv").read_bytes() == text.encode("utf-8")
+
+    def test_a_failed_later_slice_keeps_the_old_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        cli._write_atomic(target, "old\n")
+        writes = []
+
+        class FullDisk:
+            """A file whose second write fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(cli, "open", lambda *args: FullDisk(open(*args)), raising=False)
+        with pytest.raises(OSError) as failure:
+            cli._write_atomic(target, "x" * (3 * cli._WRITE_SLICE_CHARS))
+        assert failure.value.errno == errno.ENOSPC
+        assert writes == [cli._WRITE_SLICE_CHARS] * 2
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text() == "old\n"
+
+
+class TestCsv:
+    def test_blocks_match_the_per_cell_reference(self):
+        """Three blocks, the last one short, of every column kind the
+        builders pass, against a reference that formats cell by cell."""
+        block = cli._CSV_BLOCK_ROWS
+        rows = 2 * block + 3
+        rng = np.random.default_rng(17)
+        special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]
+        floats = rng.standard_normal(rows)
+        floats[::7] = np.resize(special, len(floats[::7]))
+        states = rng.standard_normal((rows, 3))
+        states[1::5, 1] = np.resize(special, len(states[1::5]))
+        nones = [None] * block + [None if k % 3 else float(k) for k in range(rows - block)]
+        columns = [range(rows), floats, -floats[::-1], states.T[1], rng.random(rows) < 0.5,
+                   nones, ["%.17g" % x for x in rng.standard_normal(rows)]]
+        header = [f"c{k}" for k in range(len(columns))]
+
+        def reference(x):
+            if x is None:
+                return ""
+            if isinstance(x, str):
+                return x
+            if isinstance(x, (bool, np.bool_)):
+                return "true" if x else "false"
+            if isinstance(x, int):
+                return str(x)
+            return "%.17g" % x
+
+        expected = "".join(",".join(line) + "\n" for line in [header] + [
+            [reference(column[i]) for column in columns] for i in range(rows)])
+        assert cli._csv(header, columns) == expected
+        assert {"-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1e+308"} \
+            <= set(expected.replace("\n", ",").split(","))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("argv, csv_name", [
+        (["run", "--config", "paper_1d", "--method", "midpoint_direct", "--steps", 20000],
+         "x.trajectory.csv"),
+        (["compare", "--config", "paper_2d", "--steps", 5000], "x.compare.csv"),
+    ], ids=["run", "compare"])
+    def test_render_and_write_peak_is_a_small_multiple_of_the_csv(
+            self, tmp_path, monkeypatch, argv, csv_name):
+        """The traced heap peak of a long run's energy report, render and
+        write stays within 3.5 times its CSV file's size (about 2.5 times
+        when the text is held at most twice, about 5 when every row string,
+        full-column lists or the encoded text are held beside it). The
+        integrations run untraced, as tracing slows them about fivefold;
+        tracing restarts after each, so the peak counts what follows the
+        last one."""
+        integrate = cli.integrate
+
+        def untraced(*args):
+            tracemalloc.stop()
+            try:
+                return integrate(*args)
+            finally:
+                tracemalloc.start()
+
+        monkeypatch.setattr(cli, "integrate", untraced)
+        tracemalloc.start()
+        try:
+            assert run_cli(argv + ["--out", tmp_path / "x"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (tmp_path / csv_name).stat().st_size
 
 
 class TestCompare:
