@@ -33,8 +33,8 @@ from .diagnostics import EnergyReport, convergence_study, energy_report, \
     period_estimate
 from .errors import ConfigError, InsufficientOscillationError, IntegrationError, \
     SingularMatrixError
-from .integrators import METHODS, Trajectory, _substituting_pairs, _verify_chunk, \
-    integrate, scheme_factors
+from .integrators import METHODS, Trajectory, _integrate, _substituting_pairs, \
+    _verify_chunk, integrate, scheme_factors
 from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, scaled_verdict, \
     symplectic_form
 from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, total_energy
@@ -253,9 +253,9 @@ def _cells(column) -> list[str]:
 
 
 def _csv(header: list[str], columns) -> str:
-    """CSV text of equal-length columns (lists, ``range``s or 1-D arrays)
-    under ``header``, formatted a block of rows at a time, column by
-    column."""
+    """CSV text of equal-length columns (lists, ``range``s, 1-D arrays or
+    ``_Nonsingular`` columns) under ``header``, formatted a block of rows
+    at a time, column by column."""
     blocks = [",".join(header) + "\n"]
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         cells = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns]
@@ -301,10 +301,16 @@ def _write_artifacts(prefix: str, kinds: tuple[str, str], csv_text: str,
 
 # --- artifact builders ------------------------------------------------------
 
-def _nonsingular_only(tr: Trajectory, values) -> list:
-    """Per-step ``values`` as floats, None on singular steps."""
-    return [None if singular else value for singular, value
-            in zip(tr.singular.tolist(), values.tolist())]
+class _Nonsingular:
+    """A CSV column of per-step ``values``, None where ``singular`` is set:
+    a slice is that block's floats and Nones, made when it is rendered."""
+
+    def __init__(self, values, singular):
+        self.values, self.singular = values, singular
+
+    def __getitem__(self, rows):
+        return [None if singular else value for singular, value
+                in zip(self.singular[rows].tolist(), self.values[rows].tolist())]
 
 
 def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
@@ -318,7 +324,8 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
                np.concatenate(([e0], tr.energy)), report.work_cumulative,
                np.concatenate(([e0], tr.hhat)),
                [""] + ["%.17g" % tr.defect_direct] * tr.n_steps,
-               [None, *_nonsingular_only(tr, tr.defect_indirect)],
+               _Nonsingular(np.concatenate(([np.nan], tr.defect_indirect)),
+                            np.concatenate(([True], tr.singular))),
                np.concatenate(([False], tr.singular))]
     return _csv(header, columns)
 
@@ -374,8 +381,8 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
     time plus a comparison summary (the config's method field is ignored)."""
     t0 = time.perf_counter()
     runs = {
-        name: integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, method,
-                        cfg.epsilon)
+        name: _integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, method,
+                         cfg.epsilon, defects=False)
         for name, method in (("direct", "midpoint_direct"),
                              ("indirect", "midpoint_indirect"),
                              ("rk4", "rk4"))
@@ -449,9 +456,9 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
     columns = [range(1, tr.n_steps + 1), tr.t[1:],
                ["%.17g" % tr.defect_direct] * tr.n_steps,
-               _nonsingular_only(tr, tr.defect_indirect),
+               _Nonsingular(tr.defect_indirect, tr.singular),
                ["%.17g" % factor_direct] * tr.n_steps,
-               _nonsingular_only(tr, factor_indirect), tr.singular]
+               _Nonsingular(factor_indirect, tr.singular), tr.singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
     nonsingular = len(nonsingular_steps)

@@ -119,13 +119,14 @@ def _midpoint_solver(K, C, tau):
 def _rk4(K, C, tau):
     """RK4's step z ↦ (z', None) on z = (q, p): stages z + h·k, h = τ/2, τ/2,
     τ, each k the slope (p, -K·q - C·p) of the one before, then z + (τ/6)·
-    (k₁ + 2k₂ + 2k₃ + k₄); only K·q and C·p are not on Python floats."""
+    (k₁ + 2k₂ + 2k₃ + k₄), on Python floats; K·q and C·p are ``.dot`` of
+    the float lists, or ``@`` at n = 1 (see ``_step_kernel``)."""
     n = K.shape[0]
     half, sixth = 0.5 * tau, tau / 6.0
+    kq, cp = (K.dot, C.dot) if n > 1 else (K.__matmul__, C.__matmul__)
 
     def slope(zl):
-        z = np.array(zl)
-        return zl[n:] + [-a - b for a, b in zip((K @ z[:n]).tolist(), (C @ z[n:]).tolist())]
+        return zl[n:] + [-a - b for a, b in zip(kq(zl[:n]).tolist(), cp(zl[n:]).tolist())]
 
     def step(z):
         z0 = z.tolist()
@@ -360,17 +361,6 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
                                               float(epsilon), direct)
 
 
-def _substituting_factors(pairs, diags, steps):
-    """Stacked factorizations and N factors of the substituting schemes
-    ``pairs`` builds, one per row d of ``diags``; a singular factor raises
-    :class:`IntegrationError` at its entry of ``steps``."""
-    m2, n2 = pairs(diags)
-    try:
-        return linalg.lu_factor(m2), n2
-    except SingularMatrixError as exc:
-        raise IntegrationError(int(steps[exc.index]), str(exc)) from exc
-
-
 def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
               method: str = "midpoint_direct",
               epsilon: float = DEFAULT_EPSILON) -> Trajectory:
@@ -394,12 +384,20 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     step whose energy, work or ``hhat`` is not finite, where that comes
     first.
     """
+    return _integrate(sys, z0, tau, n_steps, method, epsilon, defects=True)
+
+
+def _integrate(sys, z0, tau, n_steps, method, epsilon, defects):
+    """:func:`integrate`, or without ``defects`` the same run that solves
+    no transition matrix: every defect and norm is NaN. Its substituting
+    maps are still factored, so it fails where :func:`integrate` fails."""
     n_steps, tau, direct, step = _start(sys, z0, tau, n_steps, method, epsilon)
     K, C, n = sys.K, sys.C, sys.n
     form = symplectic_form(n)
-    f_direct = linalg.lu_solve(*direct)
-    defect_direct = symplectic_defect(f_direct, form)
-    norm2_direct = frobenius_squared(f_direct)
+    defect_direct = norm2_direct = np.nan
+    if defects:
+        f = linalg.lu_solve(*direct)
+        defect_direct, norm2_direct = symplectic_defect(f, form), frobenius_squared(f)
     if method != "midpoint_indirect":
         pairs = _substituting_pairs(K, tau)
     z = np.empty((n_steps + 1, 2 * n))
@@ -424,7 +422,7 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
                         z[k] = zk
                         if ks is not None:
                             ktilde[k - 1], valid[k - 1], substitute = ks
-                            if substitute is not None:
+                            if substitute is not None and defects:
                                 pending.append((k, *substitute[0], substitute[1]))
                 except SingularMatrixError as exc:
                     hi, failure = k, IntegrationError(k, str(exc))
@@ -443,8 +441,12 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
                     C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, float(epsilon))
                 steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
                 if steps.size:
-                    factorization, rhs = _substituting_factors(pairs, ktilde[steps - 1], steps)
-            if steps.size:
+                    m2, rhs = pairs(ktilde[steps - 1])
+                    try:
+                        factorization = linalg.lu_factor(m2)
+                    except SingularMatrixError as exc:
+                        raise IntegrationError(int(steps[exc.index]), str(exc)) from exc
+            if steps.size and defects:
                 f = linalg.lu_solve(factorization, rhs)
                 defect_indirect[steps - 1] = symplectic_defect(f, form)
                 norm2_indirect[steps - 1] = frobenius_squared(f)

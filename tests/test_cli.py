@@ -12,7 +12,8 @@ import pytest
 
 import damped_midpoint.cli as cli
 import damped_midpoint.diagnostics as diagnostics
-from damped_midpoint import factored_symplectic_defect, integrate, scheme_factors
+from damped_midpoint import factored_symplectic_defect, integrate, integrators, linalg, \
+    scheme_factors
 from damped_midpoint.cli import bundled_config_path, load_config
 from damped_midpoint.integrators import _verify_chunk
 
@@ -553,6 +554,26 @@ class TestCsv:
         assert {"-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1e+308"} \
             <= set(expected.replace("\n", ",").split(","))
 
+    def test_nonsingular_column_blocks_match_the_per_cell_reference(self):
+        """A per-step column with None on singular steps, rendered a block
+        at a time: a whole first block of singular steps, a NaN on a step
+        that is not singular, and a short last block."""
+        block = cli._CSV_BLOCK_ROWS
+        rows = 2 * block + 5
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal(rows)
+        values[block + 1] = math.nan
+        singular = np.zeros(rows, dtype=bool)
+        singular[:block] = True
+        singular[block + 2::3] = True
+        column = cli._Nonsingular(values, singular)
+        cells = column[block - 1:block + 2]
+        assert cells[:2] == [None, values[block].item()] and math.isnan(cells[2])
+        expected = "c0,c1\n" + "".join(
+            f"{k},{'' if singular[k] else '%.17g' % values[k]}\n" for k in range(rows))
+        assert cli._csv(["c0", "c1"], [range(rows), column]) == expected
+        assert expected.splitlines()[block + 2].endswith(",nan")
+
 
 class TestMemory:
     @pytest.mark.parametrize("argv, csv_name", [
@@ -568,17 +589,19 @@ class TestMemory:
         full-column lists or the encoded text are held beside it). The
         integrations run untraced, as tracing slows them about fivefold;
         tracing restarts after each, so the peak counts what follows the
-        last one."""
-        integrate = cli.integrate
+        last one. ``run`` integrates through ``integrate``, ``compare``
+        through ``_integrate``."""
+        def untraced(integrate):
+            def call(*args, **kwargs):
+                tracemalloc.stop()
+                try:
+                    return integrate(*args, **kwargs)
+                finally:
+                    tracemalloc.start()
+            return call
 
-        def untraced(*args):
-            tracemalloc.stop()
-            try:
-                return integrate(*args)
-            finally:
-                tracemalloc.start()
-
-        monkeypatch.setattr(cli, "integrate", untraced)
+        for name in ("integrate", "_integrate"):
+            monkeypatch.setattr(cli, name, untraced(getattr(cli, name)))
         tracemalloc.start()
         try:
             assert run_cli(argv + ["--out", tmp_path / "x"]) == 0
@@ -589,6 +612,34 @@ class TestMemory:
 
 
 class TestCompare:
+    def test_takes_no_symplectic_defects(self, tmp_path, monkeypatch):
+        """``compare`` reports no defect, so it solves no transition matrix
+        and takes no defect or norm; the direct and RK4 runs still factor
+        their substituting maps in one stacked pass each, which is where a
+        singular one fails them. The three ``integrate`` runs it replaces
+        do all of it."""
+        counts = dict.fromkeys(("defect", "norm", "stacked solve", "stacked factor"), 0)
+
+        def spy(module, name, key, stacked=lambda *args: True):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                counts[key] += stacked(*args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        spy(integrators, "symplectic_defect", "defect")
+        spy(integrators, "frobenius_squared", "norm")
+        spy(linalg, "lu_solve", "stacked solve", lambda f, b: f[0].ndim == 3)
+        spy(linalg, "lu_factor", "stacked factor", lambda a: np.ndim(a) == 3)
+        assert run_cli(["compare", "--config", "paper_2d", "--steps", 100,
+                        "--out", tmp_path / "cmp"]) == 0
+        assert counts == {"defect": 0, "norm": 0, "stacked solve": 0, "stacked factor": 2}
+        cfg = load_config(bundled_config_path("paper_2d"))
+        for method in ("midpoint_direct", "midpoint_indirect", "rk4"):
+            integrate(cfg.system, cfg.initial, cfg.tau, 100, method, cfg.epsilon)
+        assert counts == {"defect": 6, "norm": 6, "stacked solve": 3, "stacked factor": 4}
+
     def test_paper_2d_equivalence_recorded(self, tmp_path):
         prefix = tmp_path / "cmp"
         assert run_cli(["compare", "--config", "paper_2d", "--out", prefix,

@@ -8,7 +8,8 @@ import pytest
 import damped_midpoint as dm
 from damped_midpoint import integrators
 from damped_midpoint.errors import DimensionError, IntegrationError, InvalidStiffnessError
-from reference_steps import reference_step
+from reference_steps import reference_step, rk4
+from test_properties import NEAR_SINGULAR_SUBSTITUTE, SINGULAR_SUBSTITUTE
 
 
 def closed_form_step(k, c, tau, q, p):
@@ -356,6 +357,74 @@ class TestTrajectoryArrays:
                           t=[0.0, 0.1], q=q, p=np.zeros((2, 1)), energy=[0.0, 0.0],
                           work=[0.0], hhat=[0.0], ktilde=[[0.0]], valid=[[True]],
                           defect_direct=0.0, defect_indirect=[0.0])
+
+
+class TestWithoutDefects:
+    """``_integrate(..., defects=False)``, the run ``compare`` makes."""
+
+    @pytest.mark.parametrize("system", ["paper_2d", "seeded_16d"])
+    @pytest.mark.parametrize("method", dm.METHODS)
+    def test_arrays_are_those_of_integrate(self, system, method, sys_2d, z0_2d):
+        sys_, z0 = (sys_2d, z0_2d) if system == "paper_2d" else seeded_system()
+        steps = integrators._verify_chunk(sys_.n) + 3
+        full = dm.integrate(sys_, z0, 0.2, steps, method)
+        bare = integrators._integrate(sys_, z0, 0.2, steps, method, dm.DEFAULT_EPSILON,
+                                      defects=False)
+        for name in ("t", "q", "p", "energy", "work", "hhat", "ktilde", "valid"):
+            assert getattr(bare, name).tobytes() == getattr(full, name).tobytes(), name
+        assert not np.isnan(full.defect_indirect).any()
+        assert np.isnan([bare.defect_direct, bare.norm2_direct]).all()
+        assert np.isnan(bare.defect_indirect).all() and np.isnan(bare.norm2_indirect).all()
+
+    @pytest.mark.parametrize("run, method, failing", [
+        (SINGULAR_SUBSTITUTE, "midpoint_direct", 3),
+        (SINGULAR_SUBSTITUTE, "midpoint_indirect", 3),
+        (SINGULAR_SUBSTITUTE, "rk4", None),
+        (NEAR_SINGULAR_SUBSTITUTE, "midpoint_direct", None),
+        (NEAR_SINGULAR_SUBSTITUTE, "midpoint_indirect", None),
+        (NEAR_SINGULAR_SUBSTITUTE, "rk4", 1),
+    ], ids=["singular-direct", "singular-indirect", "singular-rk4",
+            "near-singular-direct", "near-singular-indirect", "near-singular-rk4"])
+    def test_fails_where_integrate_fails(self, run, method, failing):
+        """A singular substituting factor fails the direct and RK4 runs in
+        their stacked factor of it and the indirect run in its step, with
+        or without defects: same step, same message, or the same arrays."""
+        outcomes = []
+        for defects in (True, False):
+            try:
+                tr = integrators._integrate(*run, 20, method, dm.DEFAULT_EPSILON, defects)
+                outcomes.append((tr.q.tobytes(), tr.p.tobytes(), tr.valid.tobytes()))
+            except IntegrationError as exc:
+                outcomes.append((exc.step_index, str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] == failing) if failing else (len(outcomes[0]) == 3)
+
+
+def _signed_entries(rng, shape):
+    """Entries of magnitude 1e-8 to 1e8 of either sign, a quarter of them
+    +0.0 or -0.0."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    zero = rng.random(shape) < 0.25
+    x[zero] = rng.choice([-0.0, 0.0], int(zero.sum()))
+    return x
+
+
+class TestRk4Kernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+    def test_steps_are_the_reference_bit_for_bit(self, n):
+        """RK4's slope takes K·q and C·p as ``.dot`` of float lists for
+        n >= 2, and as ``@`` at n = 1, where ``.dot`` would keep the -0.0 of
+        a one-element product that ``@`` makes +0.0 (a start at -0.0 with
+        positive K and C shows it). Bits are compared, so signed zeros
+        count."""
+        rng = np.random.default_rng(n)
+        ones = np.ones((n, n))
+        cases = [(ones, ones, np.full(2 * n, -0.0), 1.0)]
+        cases += [(_signed_entries(rng, (n, n)), _signed_entries(rng, (n, n)),
+                   _signed_entries(rng, 2 * n), rng.uniform(1e-3, 1.0)) for _ in range(300)]
+        for K, C, z, tau in cases:
+            got, _ = integrators._rk4(K, C, tau)(z)
+            assert got.tobytes() == rk4(K, C, tau, z).tobytes(), (K, C, tau, z)
 
 
 class TestBlowUp:
