@@ -33,8 +33,8 @@ from .diagnostics import EnergyReport, convergence_study, energy_report, \
     period_estimate
 from .errors import ConfigError, InsufficientOscillationError, IntegrationError, \
     SingularMatrixError
-from .integrators import METHODS, Trajectory, _integrate, _substituting_pairs, \
-    _verify_chunk, integrate, scheme_factors
+from .integrators import METHODS, Trajectory, _substituting_pairs, _verify_chunk, \
+    integrate, scheme_factors
 from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, scaled_verdict, \
     symplectic_form
 from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, total_energy
@@ -381,8 +381,8 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
     time plus a comparison summary (the config's method field is ignored)."""
     t0 = time.perf_counter()
     runs = {
-        name: _integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, method,
-                         cfg.epsilon, defects=False)
+        name: integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, method,
+                        cfg.epsilon, defects=False)
         for name, method in (("direct", "midpoint_direct"),
                              ("indirect", "midpoint_indirect"),
                              ("rk4", "rk4"))

@@ -120,7 +120,8 @@ def _rk4(K, C, tau):
     """RK4's step z ↦ (z', None) on z = (q, p): stages z + h·k, h = τ/2, τ/2,
     τ, each k the slope (p, -K·q - C·p) of the one before, then z + (τ/6)·
     (k₁ + 2k₂ + 2k₃ + k₄), on Python floats; K·q and C·p are ``.dot`` of
-    the float lists, or ``@`` at n = 1 (see ``_step_kernel``)."""
+    the float lists (less per call than ``@`` on the lists or on an
+    array), but ``@`` at n = 1 (see ``_step_kernel``)."""
     n = K.shape[0]
     half, sixth = 0.5 * tau, tau / 6.0
     kq, cp = (K.dot, C.dot) if n > 1 else (K.__matmul__, C.__matmul__)
@@ -253,11 +254,12 @@ class Trajectory:
     ``energy``, the dissipated ``work`` (Δq)ᵀC(Δq)/τ, the running ledger
     ``hhat`` = energy + Σ work, the equivalent stiffness ``ktilde`` and
     its validity mask ``valid`` (both (n_steps, n)), and
-    ``defect_indirect``, NaN on singular steps. ``defect_direct`` is the
-    direct transition matrix's defect, one value for the run.
-    ``norm2_direct`` and ``norm2_indirect`` are the squared Frobenius
-    norms ‖F‖_F² of the same transition matrices, the scale their defects
-    are judged against (NaN where not given, and on singular steps).
+    ``defect_indirect``. ``defect_direct`` is the direct transition
+    matrix's defect, one value for the run. ``norm2_direct`` and
+    ``norm2_indirect`` are the squared Frobenius norms ‖F‖_F² of the same
+    transition matrices, the scale their defects are judged against.
+    Defects and norms are NaN where not given, and the indirect ones on
+    singular steps.
     Writable inputs are copied, so no caller can change a trajectory
     afterwards.
     """
@@ -363,7 +365,7 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
 
 def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
               method: str = "midpoint_direct",
-              epsilon: float = DEFAULT_EPSILON) -> Trajectory:
+              epsilon: float = DEFAULT_EPSILON, *, defects: bool = True) -> Trajectory:
     """Integrate ``n_steps`` steps and record the full per-step ledger.
 
     The trajectory holds the states, recomputable energy, the dissipated
@@ -383,14 +385,11 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     carrying the lowest failing 1-based step index, and so does the first
     step whose energy, work or ``hhat`` is not finite, where that comes
     first.
+
+    With ``defects=False`` no transition matrix is solved and every
+    defect and norm is NaN; the substituting maps are still factored, so
+    the run fails where it fails with defects.
     """
-    return _integrate(sys, z0, tau, n_steps, method, epsilon, defects=True)
-
-
-def _integrate(sys, z0, tau, n_steps, method, epsilon, defects):
-    """:func:`integrate`, or without ``defects`` the same run that solves
-    no transition matrix: every defect and norm is NaN. Its substituting
-    maps are still factored, so it fails where :func:`integrate` fails."""
     n_steps, tau, direct, step = _start(sys, z0, tau, n_steps, method, epsilon)
     K, C, n = sys.K, sys.C, sys.n
     form = symplectic_form(n)

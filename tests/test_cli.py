@@ -589,19 +589,17 @@ class TestMemory:
         full-column lists or the encoded text are held beside it). The
         integrations run untraced, as tracing slows them about fivefold;
         tracing restarts after each, so the peak counts what follows the
-        last one. ``run`` integrates through ``integrate``, ``compare``
-        through ``_integrate``."""
-        def untraced(integrate):
-            def call(*args, **kwargs):
-                tracemalloc.stop()
-                try:
-                    return integrate(*args, **kwargs)
-                finally:
-                    tracemalloc.start()
-            return call
+        last one."""
+        integrate = cli.integrate
 
-        for name in ("integrate", "_integrate"):
-            monkeypatch.setattr(cli, name, untraced(getattr(cli, name)))
+        def untraced(*args, **kwargs):
+            tracemalloc.stop()
+            try:
+                return integrate(*args, **kwargs)
+            finally:
+                tracemalloc.start()
+
+        monkeypatch.setattr(cli, "integrate", untraced)
         tracemalloc.start()
         try:
             assert run_cli(argv + ["--out", tmp_path / "x"]) == 0

@@ -360,7 +360,7 @@ class TestTrajectoryArrays:
 
 
 class TestWithoutDefects:
-    """``_integrate(..., defects=False)``, the run ``compare`` makes."""
+    """``integrate(..., defects=False)``, the run ``compare`` makes."""
 
     @pytest.mark.parametrize("system", ["paper_2d", "seeded_16d"])
     @pytest.mark.parametrize("method", dm.METHODS)
@@ -368,8 +368,7 @@ class TestWithoutDefects:
         sys_, z0 = (sys_2d, z0_2d) if system == "paper_2d" else seeded_system()
         steps = integrators._verify_chunk(sys_.n) + 3
         full = dm.integrate(sys_, z0, 0.2, steps, method)
-        bare = integrators._integrate(sys_, z0, 0.2, steps, method, dm.DEFAULT_EPSILON,
-                                      defects=False)
+        bare = dm.integrate(sys_, z0, 0.2, steps, method, defects=False)
         for name in ("t", "q", "p", "energy", "work", "hhat", "ktilde", "valid"):
             assert getattr(bare, name).tobytes() == getattr(full, name).tobytes(), name
         assert not np.isnan(full.defect_indirect).any()
@@ -392,7 +391,7 @@ class TestWithoutDefects:
         outcomes = []
         for defects in (True, False):
             try:
-                tr = integrators._integrate(*run, 20, method, dm.DEFAULT_EPSILON, defects)
+                tr = dm.integrate(*run, 20, method, defects=defects)
                 outcomes.append((tr.q.tobytes(), tr.p.tobytes(), tr.valid.tobytes()))
             except IntegrationError as exc:
                 outcomes.append((exc.step_index, str(exc)))
