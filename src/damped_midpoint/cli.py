@@ -253,9 +253,9 @@ def _cells(column) -> list[str]:
 
 
 def _csv(header: list[str], columns) -> str:
-    """CSV text of equal-length columns (lists, ``range``s, 1-D arrays or
-    ``_Nonsingular`` columns) under ``header``, formatted a block of rows
-    at a time, column by column."""
+    """CSV text of equal-length columns (lists, ``range``s, 1-D arrays,
+    ``_Nonsingular`` or ``_Repeated`` columns) under ``header``, formatted
+    a block of rows at a time, column by column."""
     blocks = [",".join(header) + "\n"]
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         cells = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns]
@@ -313,6 +313,18 @@ class _Nonsingular:
                 in zip(self.singular[rows].tolist(), self.values[rows].tolist())]
 
 
+class _Repeated:
+    """A CSV column of ``length`` cells, empty before row ``start`` and
+    ``cell`` from there: a slice is that block's cells."""
+
+    def __init__(self, cell, length, start=0):
+        self.cell, self.length, self.start = cell, length, start
+
+    def __getitem__(self, rows):
+        lo, hi, _ = rows.indices(self.length)
+        return [""] * (min(hi, self.start) - lo) + [self.cell] * (hi - max(lo, self.start))
+
+
 def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     """Render a trajectory and its energy report as the canonical run CSV
     (initial row included)."""
@@ -323,7 +335,7 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     columns = [range(tr.n_steps + 1), tr.t, *tr.q.T, *tr.p.T,
                np.concatenate(([e0], tr.energy)), report.work_cumulative,
                np.concatenate(([e0], tr.hhat)),
-               [""] + ["%.17g" % tr.defect_direct] * tr.n_steps,
+               _Repeated("%.17g" % tr.defect_direct, tr.n_steps + 1, 1),
                _Nonsingular(np.concatenate(([np.nan], tr.defect_indirect)),
                             np.concatenate(([True], tr.singular))),
                np.concatenate(([False], tr.singular))]
@@ -455,9 +467,9 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         k = nonsingular_steps[lo:lo + chunk]
         factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
     columns = [range(1, tr.n_steps + 1), tr.t[1:],
-               ["%.17g" % tr.defect_direct] * tr.n_steps,
+               _Repeated("%.17g" % tr.defect_direct, tr.n_steps),
                _Nonsingular(tr.defect_indirect, tr.singular),
-               ["%.17g" % factor_direct] * tr.n_steps,
+               _Repeated("%.17g" % factor_direct, tr.n_steps),
                _Nonsingular(factor_indirect, tr.singular), tr.singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)

@@ -37,6 +37,10 @@ METHODS = ("midpoint_direct", "midpoint_indirect", "rk4")
 #: interpreter overhead over more steps but raise peak memory.
 _VERIFY_BYTES = 256 * 1024
 
+#: Bytes of per-step arrays one ``integrate`` run may hold; a longer run
+#: is refused with ``ValueError`` before any of them is allocated.
+MAX_RUN_BYTES = 2 ** 30
+
 
 def _verify_chunk(n: int) -> int:
     """Steps per verification pass for n degrees of freedom."""
@@ -117,7 +121,7 @@ def _midpoint_solver(K, C, tau):
 
 
 def _rk4(K, C, tau):
-    """RK4's step z ↦ (z', None) on z = (q, p): stages z + h·k, h = τ/2, τ/2,
+    """RK4's step z ↦ z' on z = (q, p): stages z + h·k, h = τ/2, τ/2,
     τ, each k the slope (p, -K·q - C·p) of the one before, then z + (τ/6)·
     (k₁ + 2k₂ + 2k₃ + k₄), on Python floats; K·q and C·p are ``.dot`` of
     the float lists (less per call than ``@`` on the lists or on an
@@ -129,23 +133,23 @@ def _rk4(K, C, tau):
     def slope(zl):
         return zl[n:] + [-a - b for a, b in zip(kq(zl[:n]).tolist(), cp(zl[n:]).tolist())]
 
-    def step(z):
+    def step(z, out):
         z0 = z.tolist()
         ks = [slope(z0)]
         for h in (half, half, tau):
             ks.append(slope([x + h * v for x, v in zip(z0, ks[-1])]))
-        return np.array([x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                         for x, a, b, c, d in zip(z0, *ks)]), None
+        out[:] = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(z0, *ks)]
     return step
 
 
 def _step_kernel(K, C, tau, method, epsilon, direct):
-    """The one-step map z ↦ (z', ks) of ``method`` on the state z = (q, p).
+    """The one-step map of ``method``: ``step(z, out)`` writes z' into
+    ``out``, never into the state z = (q, p), and returns ``ks``.
 
     ``direct`` is the direct scheme's ``(factorization, N)`` pair, which
     depends only on (K, C, τ); RK4 ignores it. Its solve is prepared once
     (``linalg.lu_solver``), and each direct step and indirect probe is
-    ``solve1(N.dot(z))``. ``ndarray.dot`` costs less per call than ``@``
+    ``solve1(N.dot(z), out)``. ``ndarray.dot`` costs less per call than ``@``
     and gave the same bits for every 2n×2n matrix-vector product tried,
     with signed zeros, infinities, NaN, 1e-300 and 3e300 entries, under
     the SkylakeX, Haswell and Sandybridge OpenBLAS kernels; the two differ
@@ -162,19 +166,20 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
     lu1, n1 = direct
     solve1 = linalg.lu_solver(lu1)
     if method == "midpoint_direct":
-        def step(z):
-            return solve1(n1.dot(z)), None
+        def step(z, out):
+            solve1(n1.dot(z), out)
         return step
     pairs = _substituting_pairs(K, tau)
 
-    def step(z):
-        probe = solve1(n1.dot(z))
-        diag, valid = _equivalent_stiffness_floats(C, z[:n], probe[:n], tau, epsilon)
+    def step(z, out):
+        solve1(n1.dot(z), out)
+        diag, valid = _equivalent_stiffness_floats(C, z[:n], out[:n], tau, epsilon)
         if not all(valid):
-            return probe, (diag, valid, None)
+            return diag, valid, None
         m2, n2 = pairs(diag)
         lu2 = linalg.lu_factor(m2)
-        return linalg.lu_solve(lu2, n2 @ z), (diag, valid, (lu2, n2))
+        out[:] = linalg.lu_solve(lu2, n2 @ z)
+        return diag, valid, (lu2, n2)
     return step
 
 
@@ -375,8 +380,8 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     non-singular steps) and each step's equivalent stiffness.
     Timestamps are t₀ + k·τ from integer k.
 
-    The loop only steps, handing each state it returns to the next step
-    as it stores it in the trajectory array. After each chunk of steps,
+    The loop only steps, each step writing its state into the next row
+    of the trajectory array. After each chunk of steps,
     sized so its stacked 2n×2n matrices fit ``_VERIFY_BYTES``, the chunk's
     states are checked for finiteness and its substituting maps are
     verified in one stacked pass; the indirect scheme stacks the factors
@@ -392,6 +397,10 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     """
     n_steps, tau, direct, step = _start(sys, z0, tau, n_steps, method, epsilon)
     K, C, n = sys.K, sys.C, sys.n
+    # Per step: the floats of z (2n), ktilde (n), t, energy, work, hhat and
+    # the two defect arrays (6), and the n bools of valid.
+    if (n_steps + 1) * (8 * (3 * n + 6) + n) > MAX_RUN_BYTES:
+        raise ValueError(f"{n_steps} steps would pass MAX_RUN_BYTES = {MAX_RUN_BYTES}")
     form = symplectic_form(n)
     defect_direct = norm2_direct = np.nan
     if defects:
@@ -417,8 +426,7 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     for k in range(lo, hi):
-                        zk, ks = step(zk)
-                        z[k] = zk
+                        ks = step(zk, zk := z[k])
                         if ks is not None:
                             ktilde[k - 1], valid[k - 1], substitute = ks
                             if substitute is not None and defects:
@@ -492,19 +500,21 @@ def propagate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     """
     n_steps, tau, _, step = _start(sys, z0, tau, n_steps, method, epsilon)
     start = np.concatenate((z0.q, z0.p))
-    z = start
+    z, out = start.copy(), np.empty_like(start)   # start is kept for a replay
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(1, n_steps + 1):
-                z = step(z)[0]
+                step(z, out)
+                z, out = out, z
         except SingularMatrixError as exc:
             failure = IntegrationError(k, str(exc))
         if failure is None and np.isfinite(z).all():
             return PhaseState(z0.t + n_steps * tau, z[:sys.n], z[sys.n:])
         z = start
         for k in range(1, failure.step_index if failure else n_steps + 1):
-            z = step(z)[0]
+            step(z, out)
+            z, out = out, z
             if not np.isfinite(z).all():
                 raise IntegrationError(k, "state is not finite")
     raise failure

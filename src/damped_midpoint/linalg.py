@@ -317,7 +317,8 @@ def _substitute(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
 def lu_solver(factorization):
     """``lu_solve`` of one (m, m) factorization, prepared once for many
     float vectors b of length m: ``lu_solver(f)(b)`` is ``lu_solve(f, b)``.
-    Neither b nor the factorization is written.
+    ``lu_solver(f)(b, out)`` writes that x into ``out``, a float64 array
+    of shape (m,) that may be b, and returns it; nothing else is written.
 
     At m = 2 both substitution products have one element and run on the
     four factor floats as ``0.0 + a * b`` (``@`` of one-element vectors
@@ -336,13 +337,16 @@ def lu_solver(factorization):
     (u00, u01), (l10, u11) = lu.tolist()
     p0, p1 = perm.tolist()
 
-    def solve(b):
+    def solve(b, out=None):
         rhs = b.tolist()
         try:
             x1 = (rhs[p1] - (0.0 + l10 * rhs[p0])) / u11
-            return np.array([(rhs[p0] - (0.0 + u01 * x1)) / u00, x1])
+            x0 = (rhs[p0] - (0.0 + u01 * x1)) / u00
         except ZeroDivisionError:
-            return _row_solver(lu, perm)(b)
+            return _row_solver(lu, perm)(b, out)
+        out = np.empty(2) if out is None else out
+        out[0], out[1] = x0, x1
+        return out
     return solve
 
 
@@ -366,8 +370,10 @@ def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
     # half is 0 or n ≥ 6 with m = 2n, so back row m - 2 is never skipped.
     first = lu.item(1, 0) if m > 1 and not half else None
     second = lu.item(-2, -1) if m > 1 else None
+    if half:
+        d, zeros = np.diagonal(lu[:half, half:]), np.zeros(m)
 
-    def solve(b):
+    def solve(b, out=None):
         x = b[perm]
         if first is not None:
             x[1] -= 0.0 + first * x.item(0)
@@ -379,19 +385,15 @@ def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
             x[-2] = (x[-2] - (0.0 + second * x.item(-1))) / pivots[-2]
         for k, product, pivot in back:
             x[k] = (x[k] - product(x[k + 1 :])) / pivot
-        return x
-    if not half:
-        return solve
-    d = np.diagonal(lu[:half, half:])
-    zeros = np.zeros(m)
-
-    def structured(b):
-        x = solve(b)
-        x[:half] -= 0.0 + d * x[half:]
-        if zeros.dot(x):
-            return _row_solver(lu, perm)(b)
-        return x
-    return structured
+        if half:
+            x[:half] -= 0.0 + d * x[half:]
+            if zeros.dot(x):
+                return _row_solver(lu, perm)(b, out)
+        if out is None:
+            return x
+        out[...] = x
+        return out
+    return solve
 
 
 def solve(a, b) -> np.ndarray:

@@ -285,6 +285,16 @@ class TestRun:
         assert error["type"] == "config" and "initial energy" in error["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
+    def test_run_past_the_byte_bound_is_refused_before_stepping(self, tmp_path, capsys):
+        """10¹² steps would need about 73 TB of arrays; the run is refused
+        at once, naming the bound, and writes nothing."""
+        rc = run_cli(["run", "--config", "paper_1d", "--out", tmp_path / "x",
+                      "--steps", 10 ** 12])
+        assert rc == cli.EXIT_SOLVER
+        error = strict_json(capsys.readouterr().err)["error"]
+        assert error["type"] == "solver" and "MAX_RUN_BYTES" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_allocation_failure_is_solver_error(self, tmp_path, capsys, monkeypatch):
         message = "Unable to allocate 5.96 GiB for an array with shape (400000001, 2)"
 
@@ -573,6 +583,20 @@ class TestCsv:
             f"{k},{'' if singular[k] else '%.17g' % values[k]}\n" for k in range(rows))
         assert cli._csv(["c0", "c1"], [range(rows), column]) == expected
         assert expected.splitlines()[block + 2].endswith(",nan")
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_repeated_column_blocks_match_the_per_cell_reference(self, start):
+        """A run-constant column, its first ``start`` cells empty (the
+        initial row of ``run``), rendered a block at a time down to a
+        short last block."""
+        block = cli._CSV_BLOCK_ROWS
+        rows = 2 * block + 5
+        column = cli._Repeated("0.125", rows, start)
+        reference = [""] * start + ["0.125"] * (rows - start)
+        for lo in range(0, rows, block):
+            assert column[lo:lo + block] == reference[lo:lo + block]
+        expected = "c0,c1\n" + "".join(f"{k},{reference[k]}\n" for k in range(rows))
+        assert cli._csv(["c0", "c1"], [range(rows), column]) == expected
 
 
 class TestMemory:

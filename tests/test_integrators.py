@@ -261,6 +261,20 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             run(sys_1d, z0_1d, 0.2, n_steps)
 
+    @pytest.mark.parametrize("dims, per_step", [("1d", 8 * 9 + 1), ("2d", 8 * 12 + 2)])
+    def test_refuses_a_run_whose_arrays_pass_the_byte_bound(
+            self, request, monkeypatch, dims, per_step):
+        """Per step, 8 bytes for each float of z (2n), ktilde (n) and six
+        per-step arrays, and n for the bools of valid; the initial state
+        counts as a step. ``propagate`` keeps no per-step arrays."""
+        sys_ = request.getfixturevalue(f"sys_{dims}")
+        z0 = request.getfixturevalue(f"z0_{dims}")
+        monkeypatch.setattr(integrators, "MAX_RUN_BYTES", 11 * per_step)
+        assert dm.integrate(sys_, z0, 0.2, 10).n_steps == 10
+        with pytest.raises(ValueError, match="MAX_RUN_BYTES"):
+            dm.integrate(sys_, z0, 0.2, 11)
+        assert dm.propagate(sys_, z0, 0.2, 11).t == pytest.approx(2.2)
+
     @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan, 0.0, -0.1])
     def test_rejects_step_sizes_that_are_not_positive_and_finite(self, sys_1d, z0_1d, tau):
         for run in (dm.integrate, dm.propagate):
@@ -273,12 +287,16 @@ class TestIntegrate:
         assert dm.integrate(sys_1d, z0_1d, 0.2, np.int64(3)).n_steps == 3
 
     @pytest.mark.parametrize("method", dm.METHODS)
-    def test_propagate_matches_integrate(self, sys_2d, z0_2d, method):
-        tr = dm.integrate(sys_2d, z0_2d, 0.2, 40, method)
-        final = dm.propagate(sys_2d, z0_2d, 0.2, 40, method)
-        assert np.array_equal(final.q, tr.steps[-1].state.q)
-        assert np.array_equal(final.p, tr.steps[-1].state.p)
-        assert final.t == pytest.approx(8.0, abs=1e-12)
+    def test_propagate_matches_integrate(self, sys_1d, z0_1d, sys_2d, z0_2d, method):
+        """Bit for bit, at n = 1 and 2, after an even and an odd number of
+        steps: the last state is in either of ``propagate``'s two buffers."""
+        for sys_, z0 in ((sys_1d, z0_1d), (sys_2d, z0_2d)):
+            tr = dm.integrate(sys_, z0, 0.2, 41, method)
+            for k in (1, 40, 41):
+                final = dm.propagate(sys_, z0, 0.2, k, method)
+                assert final.q.tobytes() == tr.q[k].tobytes()
+                assert final.p.tobytes() == tr.p[k].tobytes()
+                assert final.t == pytest.approx(0.2 * k, abs=1e-12)
 
     def test_singular_steps_fall_back_to_probe(self):
         # Drive the first step through an exact zero crossing: the run is
@@ -422,8 +440,48 @@ class TestRk4Kernel:
         cases += [(_signed_entries(rng, (n, n)), _signed_entries(rng, (n, n)),
                    _signed_entries(rng, 2 * n), rng.uniform(1e-3, 1.0)) for _ in range(300)]
         for K, C, z, tau in cases:
-            got, _ = integrators._rk4(K, C, tau)(z)
+            got = np.full(2 * n, np.nan)
+            assert integrators._rk4(K, C, tau)(z, got) is None
             assert got.tobytes() == rk4(K, C, tau, z).tobytes(), (K, C, tau, z)
+
+
+class TestStepKernel:
+    """``step(z, out)`` of each scheme writes ``reference_step``'s bits
+    into ``out`` and leaves z as it was."""
+
+    @pytest.mark.parametrize("method", dm.METHODS)
+    @pytest.mark.parametrize("case", ["1d", "zero-crossing", "2d", "6dof"])
+    def test_writes_the_reference_step_into_out(self, request, case, method):
+        tau = 0.2
+        if case == "zero-crossing":
+            # The probe lands on q1 = -q0, so the indirect step is singular
+            # and writes the probe.
+            sys_ = dm.make_system([[1.0]], [[0.1]])
+            z0 = dm.PhaseState(0.0, [0.3], [-0.3 * (2.0 / tau + 0.1)])
+        elif case == "6dof":   # 12×12 factors, solved through their structure
+            sys_, z0 = seeded_system(6, seed=3)
+        else:
+            sys_ = request.getfixturevalue(f"sys_{case}")
+            z0 = request.getfixturevalue(f"z0_{case}")
+        tr = dm.integrate(sys_, z0, tau, 20, method)
+        step = integrators._start(sys_, z0, tau, 1, method, dm.DEFAULT_EPSILON)[3]
+        singular = []
+        for z in np.hstack((tr.q, tr.p)):
+            given = z.tobytes()
+            out = np.full(z.shape, np.nan)
+            ks = step(z, out)
+            expected, ktilde = reference_step(sys_, z, tau, method)
+            assert out.tobytes() == expected.tobytes()
+            assert z.tobytes() == given
+            if method == "midpoint_indirect":
+                diag, valid, substitute = ks
+                assert diag == ktilde.diag.tolist() and valid == ktilde.valid.tolist()
+                assert (substitute is None) == (not ktilde.all_valid)
+                singular.append(substitute is None)
+            else:
+                assert ks is None
+        if method == "midpoint_indirect":
+            assert singular[0] == (case == "zero-crossing")
 
 
 class TestBlowUp:

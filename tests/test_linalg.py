@@ -178,10 +178,16 @@ def test_zero_pivot_under_nan_threshold_solves_to_nan():
     b = np.array([1.0, 2.0])
     x = lu_solve(factorization, b)
     assert x.shape == (2,) and np.isnan(x).all()
-    # The prepared solver falls back to the row loop on every call.
+    # The prepared solver falls back to the row loop on every call, and
+    # that loop writes into a given ``out``, apart from b or b itself.
     solve = lu_solver(factorization)
     for _ in range(2):
         assert solve(b).tobytes() == x.tobytes()
+        out = np.zeros(2)
+        assert solve(b, out) is out and out.tobytes() == x.tobytes()
+        inplace = b.copy()
+        assert solve(inplace, inplace) is inplace and inplace.tobytes() == x.tobytes()
+    assert b.tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 1024])
@@ -393,13 +399,16 @@ def test_special_entries_factor_as_the_reference(entry, value, finite):
         == finite
 
 
-@pytest.mark.parametrize("m, scheme", [(3, False), (4, False), (12, False), (12, True)])
+@pytest.mark.parametrize("m, scheme", [(1, False), (2, False), (3, False), (4, False),
+                                       (12, False), (12, True)])
 def test_prepared_solve_is_bitwise_the_reference(m, scheme):
     """The prepared solve takes one-element rows as 0.0 + a·x on floats
     and divides by float pivots. Right-hand sides of signed zeros make
     every product ±0, so a one-element product of -0.0 that ``@`` turns
     into +0.0 shows in the result; non-finite ones reach the fallback of
-    the structured solve (``scheme``: a 12×12 scheme factor)."""
+    the structured solve (``scheme``: a 12×12 scheme factor). Given an
+    ``out``, apart from b or b itself, the solve writes the same bits
+    there and returns it."""
     rng = np.random.default_rng(m)
     if scheme:
         k = rng.uniform(-1.0, 1.0, (6, 6))
@@ -413,9 +422,16 @@ def test_prepared_solve_is_bitwise_the_reference(m, scheme):
              else rng.choice([0.0, -0.0], (256, m)))
     special = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0, -2.0,
                         5e-324, 1e308])
+    finite = []
     for b in np.concatenate((signs, rng.choice(special, (256, m)))):
         given = b.tobytes()
         with np.errstate(invalid="ignore", over="ignore"):
             expected = reference_lu_solve(factorization, b).tobytes()
             assert solve(b).tobytes() == expected
-        assert b.tobytes() == given
+            out = np.full(m, np.nan)
+            assert solve(b, out) is out and out.tobytes() == expected
+            assert b.tobytes() == given
+            inplace = b.copy()
+            assert solve(inplace, inplace) is inplace and inplace.tobytes() == expected
+        finite.append(np.isfinite(np.frombuffer(expected)).all())
+    assert not all(finite)
