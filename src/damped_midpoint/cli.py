@@ -302,11 +302,11 @@ def _write_artifacts(prefix: str, kinds: tuple[str, str], csv_text: str,
 # --- artifact builders ------------------------------------------------------
 
 class _Nonsingular:
-    """A CSV column of per-step ``values``, None where ``singular`` is set:
-    a slice is that block's floats and Nones, made when it is rendered."""
+    """A CSV column of per-step ``values``, None where ``singular`` is set or a
+    value is not finite: a slice is that block's floats and Nones, made when rendered."""
 
     def __init__(self, values, singular):
-        self.values, self.singular = values, singular
+        self.values, self.singular = values, singular | ~np.isfinite(values)
 
     def __getitem__(self, rows):
         return [None if singular else value for singular, value
@@ -315,10 +315,11 @@ class _Nonsingular:
 
 class _Repeated:
     """A CSV column of ``length`` cells, empty before row ``start`` and
-    ``cell`` from there: a slice is that block's cells."""
+    ``value`` (empty if not finite) from there: a slice is that block's cells."""
 
-    def __init__(self, cell, length, start=0):
-        self.cell, self.length, self.start = cell, length, start
+    def __init__(self, value, length, start=0):
+        self.cell = "%.17g" % value if np.isfinite(value) else ""
+        self.length, self.start = length, start
 
     def __getitem__(self, rows):
         lo, hi, _ = rows.indices(self.length)
@@ -335,7 +336,7 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     columns = [range(tr.n_steps + 1), tr.t, *tr.q.T, *tr.p.T,
                np.concatenate(([e0], tr.energy)), report.work_cumulative,
                np.concatenate(([e0], tr.hhat)),
-               _Repeated("%.17g" % tr.defect_direct, tr.n_steps + 1, 1),
+               _Repeated(tr.defect_direct, tr.n_steps + 1, 1),
                _Nonsingular(np.concatenate(([np.nan], tr.defect_indirect)),
                             np.concatenate(([True], tr.singular))),
                np.concatenate(([False], tr.singular))]
@@ -467,9 +468,9 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         k = nonsingular_steps[lo:lo + chunk]
         factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
     columns = [range(1, tr.n_steps + 1), tr.t[1:],
-               _Repeated("%.17g" % tr.defect_direct, tr.n_steps),
+               _Repeated(tr.defect_direct, tr.n_steps),
                _Nonsingular(tr.defect_indirect, tr.singular),
-               _Repeated("%.17g" % factor_direct, tr.n_steps),
+               _Repeated(factor_direct, tr.n_steps),
                _Nonsingular(factor_indirect, tr.singular), tr.singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)

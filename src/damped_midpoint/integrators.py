@@ -123,15 +123,18 @@ def _midpoint_solver(K, C, tau):
 def _rk4(K, C, tau):
     """RK4's step z ↦ z' on z = (q, p): stages z + h·k, h = τ/2, τ/2,
     τ, each k the slope (p, -K·q - C·p) of the one before, then z + (τ/6)·
-    (k₁ + 2k₂ + 2k₃ + k₄), on Python floats; K·q and C·p are ``.dot`` of
-    the float lists (less per call than ``@`` on the lists or on an
-    array), but ``@`` at n = 1 (see ``_step_kernel``)."""
+    (k₁ + 2k₂ + 2k₃ + k₄), on Python floats. K·q and C·p are ``.dot`` (``@``
+    at n = 1, see ``_step_kernel``) of the halves of one buffer each slope
+    fills at once, cheaper than converting a list in every product."""
     n = K.shape[0]
     half, sixth = 0.5 * tau, tau / 6.0
     kq, cp = (K.dot, C.dot) if n > 1 else (K.__matmul__, C.__matmul__)
+    buffer = np.empty(2 * n)
+    q, p = buffer[:n], buffer[n:]
 
     def slope(zl):
-        return zl[n:] + [-a - b for a, b in zip(kq(zl[:n]).tolist(), cp(zl[n:]).tolist())]
+        buffer[:] = zl
+        return zl[n:] + [-a - b for a, b in zip(kq(q).tolist(), cp(p).tolist())]
 
     def step(z, out):
         z0 = z.tolist()
@@ -153,13 +156,13 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
     and gave the same bits for every 2n×2n matrix-vector product tried,
     with signed zeros, infinities, NaN, 1e-300 and 3e300 entries, under
     the SkylakeX, Haswell and Sandybridge OpenBLAS kernels; the two differ
-    only for one-element products, and 2n ≥ 2. ``ks`` is
-    None except for the indirect scheme, which reports
-    ``(diag, valid, substitute)``: the step's equivalent stiffness as
-    float lists and, when every component is valid, the substituting
-    scheme's ``(factorization, N)`` pair it stepped with (else None, and
-    z' is the probe).
-    """
+    only for one-element products, and 2n ≥ 2. Each substituting factor
+    serves one solve, unprepared (``linalg.lu_solve``). ``ks`` is None
+    except for the indirect scheme, which reports ``(diag, valid,
+    substitute)``: the step's equivalent stiffness as float lists and,
+    when every component is valid, the substituting scheme's
+    ``(factorization, N)`` pair it stepped with (else None, and z' is the
+    probe)."""
     n = K.shape[0]
     if method == "rk4":
         return _rk4(K, C, tau)

@@ -255,8 +255,8 @@ def lu_solve(factorization, b) -> np.ndarray:
     matrix, (N, m) or (N, m, r). Substitution runs row by row over the
     whole stack; each row product is one dot (vector) or vector-matrix
     product (matrix) per item, the same kernel a single solve calls. One
-    matrix with one vector goes through :func:`lu_solver`'s row loop of
-    the same products. Factorizations whose first n rows are
+    matrix with one vector is :func:`lu_solver`'s solve, its row loop run
+    once without preparing above m = 2. Factorizations whose first n rows are
     [I | diag(D)] (see :func:`_substitute`) skip the rows known in
     advance, all items of a stack or none.
     """
@@ -266,7 +266,9 @@ def lu_solve(factorization, b) -> np.ndarray:
         raise DimensionError(
             f"right-hand side has shape {b.shape}, factorization has {lu.shape}")
     if b.ndim == 1:
-        return lu_solver(factorization)(b)
+        if len(perm) < 3 or lu.shape != (len(perm),) * 2:   # lu_solver rejects a bad shape
+            return lu_solver(factorization)(b)
+        return _solve_once(lu, perm, b, _unit_rows(lu))
     half = _unit_rows(lu)
     x = _substitute(lu, perm, b, half)
     if half and not np.isfinite(x).all():
@@ -314,9 +316,29 @@ def _substitute(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
     return x
 
 
+def _solve_once(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
+    """``lu_solve`` of one vector b, m ≥ 3: :func:`_row_solver`'s loop run
+    once without preparing, so with its skip of ``half`` rows and rerun."""
+    m, pivots, x = len(perm), np.diagonal(lu).tolist(), b[perm]
+    if not half:
+        x[1] -= 0.0 + lu.item(1, 0) * x.item(0)
+    for k in range(max(half, 2), m):
+        x[k] -= lu[k, :k].dot(x[:k])
+    x[-1] /= pivots[-1]
+    x[-2] = (x[-2] - (0.0 + lu.item(-2, -1) * x.item(-1))) / pivots[-2]
+    for k in range(m - 3, half - 1, -1):
+        x[k] = (x[k] - lu[k, k + 1 :].dot(x[k + 1 :])) / pivots[k]
+    if half:
+        x[:half] -= 0.0 + np.diagonal(lu[:half, half:]) * x[half:]
+        if np.zeros(m).dot(x):
+            return _solve_once(lu, perm, b, 0)
+    return x
+
+
 def lu_solver(factorization):
     """``lu_solve`` of one (m, m) factorization, prepared once for many
-    float vectors b of length m: ``lu_solver(f)(b)`` is ``lu_solve(f, b)``.
+    float vectors b of length m (``lu_solve`` of one b skips preparing):
+    ``lu_solver(f)(b)`` is ``lu_solve(f, b)``.
     ``lu_solver(f)(b, out)`` writes that x into ``out``, a float64 array
     of shape (m,) that may be b, and returns it; nothing else is written.
 

@@ -73,13 +73,13 @@ def scaled_verdict(defects, norms2):
     Stability of Numerical Algorithms*, §3.5), so each defect is judged
     against ``SYMPLECTIC_TOL · max(1, ‖F‖_F²)``. Returns ``(word, ratio, index)``:
     "symplectic" when every defect passes, else "unsymplectic", or
-    "insufficient data" for an empty family; the largest defect /
-    max(1, ‖F‖_F²); and the position of its first occurrence (both None
-    for an empty family).
+    "insufficient data" for an empty family or one with a defect that is
+    not finite; the largest defect / max(1, ‖F‖_F²); and the position of
+    its first occurrence (both None with insufficient data).
     """
     defects = np.asarray(defects, dtype=float)
     scale = np.maximum(1.0, np.asarray(norms2, dtype=float))
-    if defects.size == 0:
+    if defects.size == 0 or not np.isfinite(defects).all():
         return "insufficient data", None, None
     ratio = defects / scale
     worst = int(np.argmax(ratio))

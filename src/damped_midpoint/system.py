@@ -201,8 +201,9 @@ def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarra
 
 def _equivalent_stiffness_floats(C, q_k, q_k1, tau: float, epsilon: float):
     """``_equivalent_stiffness_arrays`` of one step as Python float lists, bit
-    for bit; where Python raises ``ZeroDivisionError``, the array form's."""
-    cd = (2.0 * _matvec(C, q_k1 - q_k)).tolist()
+    for bit; where Python raises ``ZeroDivisionError``, the array form's.
+    C·Δq is the cheaper ``C.dot`` but at n = 1, where it keeps a -0.0."""
+    cd = (2.0 * (C.dot(q_k1 - q_k) if len(C) > 1 else _matvec(C, q_k1 - q_k))).tolist()
     pairs = list(zip(q_k1.tolist(), q_k.tolist()))
     valid = [abs(a + b) > epsilon * max(abs(a), abs(b), _FLOOR) for a, b in pairs]
     try:

@@ -1,14 +1,19 @@
 """Command-line interface: artifacts, determinism, error contracts."""
 
+import contextlib
 import errno
+import io
 import json
 import math
 import os
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import damped_midpoint.cli as cli
 import damped_midpoint.diagnostics as diagnostics
@@ -565,33 +570,37 @@ class TestCsv:
             <= set(expected.replace("\n", ",").split(","))
 
     def test_nonsingular_column_blocks_match_the_per_cell_reference(self):
-        """A per-step column with None on singular steps, rendered a block
-        at a time: a whole first block of singular steps, a NaN on a step
-        that is not singular, and a short last block."""
+        """A per-step column with None on singular steps and on values that
+        are not finite, rendered a block at a time: a whole first block of
+        singular steps, a NaN and an infinity on steps that are not
+        singular, and a short last block."""
         block = cli._CSV_BLOCK_ROWS
         rows = 2 * block + 5
         rng = np.random.default_rng(23)
         values = rng.standard_normal(rows)
         values[block + 1] = math.nan
+        values[block + 3] = -math.inf
         singular = np.zeros(rows, dtype=bool)
         singular[:block] = True
         singular[block + 2::3] = True
         column = cli._Nonsingular(values, singular)
-        cells = column[block - 1:block + 2]
-        assert cells[:2] == [None, values[block].item()] and math.isnan(cells[2])
+        assert column[block - 1:block + 4] == [None, values[block].item(), None, None, None]
         expected = "c0,c1\n" + "".join(
-            f"{k},{'' if singular[k] else '%.17g' % values[k]}\n" for k in range(rows))
+            f"{k},{'' if singular[k] or not math.isfinite(values[k]) else '%.17g' % values[k]}\n"
+            for k in range(rows))
         assert cli._csv(["c0", "c1"], [range(rows), column]) == expected
-        assert expected.splitlines()[block + 2].endswith(",nan")
+        assert expected.splitlines()[block + 2].endswith(",")
 
     @pytest.mark.parametrize("start", [0, 1])
     def test_repeated_column_blocks_match_the_per_cell_reference(self, start):
         """A run-constant column, its first ``start`` cells empty (the
         initial row of ``run``), rendered a block at a time down to a
-        short last block."""
+        short last block; a constant that is not finite is empty."""
         block = cli._CSV_BLOCK_ROWS
         rows = 2 * block + 5
-        column = cli._Repeated("0.125", rows, start)
+        for bad in (math.nan, math.inf, -math.inf):
+            assert cli._Repeated(bad, rows, start)[:] == [""] * rows
+        column = cli._Repeated(0.125, rows, start)
         reference = [""] * start + ["0.125"] * (rows - start)
         for lo in range(0, rows, block):
             assert column[lo:lo + block] == reference[lo:lo + block]
@@ -845,6 +854,27 @@ class TestCheckSymplectic:
         assert float(first[4]) > 1e-6     # direct factor pair fails the check
         assert float(first[5]) <= 1e-12   # indirect factor pair passes
 
+    def test_non_finite_defects_are_empty_cells(self, tmp_path, capsys):
+        """M·J·Mᵀ of τ = 1e300 overflows to inf - inf, so every direct
+        factor-pair defect is NaN: each is an empty cell, as a singular
+        step's. The transition defect stays finite, so the direct verdict
+        stands; a family with a defect that is not finite would have
+        insufficient data."""
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "system": {"K": [[-0.3]], "C": [[-1e-320]]},
+            "initial": {"q": [0.0], "p": [0.0]}, "tau": 1e300, "n_steps": 5,
+        }))
+        assert run_cli(["check-symplectic", "--config", config, "--method", "midpoint_direct",
+                        "--out", tmp_path / "sym"]) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "sym.symplectic.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(row[2] == "0" and row[3:6] == ["", "", ""] for row in rows)
+        summary = read_json(tmp_path / "sym.symplectic.json")
+        assert summary["verdicts"] == {"direct": "symplectic", "indirect": "insufficient data"}
+        assert "direct transition family: symplectic" in capsys.readouterr().out
+
     def test_stacked_factor_defects_are_the_per_step_values(self, tmp_path):
         # More steps than one stacked pass holds, and singular steps.
         steps = _verify_chunk(2) + 20
@@ -877,3 +907,98 @@ def test_blow_up_reports_step(tmp_path, capsys):
     assert err["type"] == "solver"
     assert err["step"] == 149
     assert "step 149" in err["message"]
+
+
+# Configs of the warning tests above: (τ/2)·K overflows in the scheme
+# factors; the factor-pair defect of τ = 1e300 is NaN on every step; K̃'s
+# q' + q overflows.
+HOSTILE_CONFIGS = [
+    ([[1e308]], [[0.0]], [0.0], [0.0], 1e10, "midpoint_direct"),
+    ([[-0.3]], [[-1e-320]], [0.0], [0.0], 1e300, "midpoint_direct"),
+    ([[-0.0]], [[-1e-300]], [1e308], [7.0], 1000.0, "midpoint_direct"),
+]
+
+_SIGNED_POWER = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                          st.integers(-320, 308))
+_FINITE = st.one_of(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(-3, 3),
+                    st.sampled_from([0.0, -0.0]), _SIGNED_POWER)
+# What a numeric field must reject: the NaN and Infinity literals, an int
+# past the float range and other JSON kinds.
+_REJECTED = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]),
+                      st.none(), st.booleans(), st.text(max_size=2), st.just([]),
+                      st.just({}))
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """A config as JSON-ready Python values (NaN and ±inf become the
+    ``NaN`` and ``Infinity`` literals): n <= 3, K symmetric, τ a power of
+    ten or an ordinary step. One config in four may hold rejected values
+    anywhere."""
+    n = draw(st.integers(1, 3))
+    number = st.one_of(*[_FINITE] * 5, _REJECTED) if draw(st.integers(0, 3)) == 0 \
+        else _FINITE
+
+    def values(size):
+        return draw(st.lists(number, min_size=size, max_size=size))
+
+    upper = iter(values(n * (n + 1) // 2))
+    K = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            K[i][j] = K[j][i] = next(upper)
+    C = [values(n) for _ in range(n)]
+    tau = draw(st.one_of(st.builds(abs, _SIGNED_POWER), st.floats(1e-3, 2.0), number))
+    return (K, C, values(n), values(n), tau,
+            draw(st.sampled_from(integrators.METHODS)))
+
+
+def _horizon(tau):
+    """τ as a convergence horizon (a one-step ladder whose reference takes
+    1024 RK4 steps), or 1.0 where τ is no positive float-range number."""
+    return float(tau) if type(tau) in (int, float) and 0 < tau <= 1e308 else 1.0
+
+
+def _cell_ok(cell):
+    return cell in ("", "true", "false") or math.isfinite(float(cell))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_fuzz_configs(), st.integers(1, 6))
+@example(HOSTILE_CONFIGS[0], 5)
+@example(HOSTILE_CONFIGS[1], 5)
+@example(HOSTILE_CONFIGS[2], 5)
+def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps):
+    """Every subcommand on a drawn config exits 0, 2, 3 or 4 with no
+    exception and no warning; every JSON it writes (artifacts, or the
+    error object on stderr) is strict, and every CSV cell of a run that
+    exits 0 is finite or empty. The convergence ladder is one step of τ."""
+    K, C, q, p, tau, method = config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"system": {"K": K, "C": C}, "initial": {"q": q, "p": p},
+                       "tau": tau, "n_steps": steps, "method": method}, fh)
+        for sub in ("run", "compare", "convergence", "check-symplectic"):
+            prefix = os.path.join(tmp, sub)
+            extra = ["--levels", 1, "--t-final", _horizon(tau)] if sub == "convergence" else []
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                rc = run_cli([sub, "--config", path, "--out", prefix, *extra])
+            assert [str(w.message) for w in caught] == [], (sub, config)
+            assert rc in (0, 2, 3, 4), (sub, config)
+            if rc:
+                assert strict_json(stderr.getvalue())["error"]["type"], (sub, config)
+                continue
+            for name in sorted(os.listdir(tmp)):
+                if not name.startswith(sub + "."):
+                    continue
+                with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                if name.endswith(".json"):
+                    strict_json(text)
+                else:
+                    cells = ",".join(text.splitlines()[1:]).split(",")
+                    assert all(map(_cell_ok, cells)), (sub, config, name)

@@ -70,6 +70,13 @@ def test_rhs_size_mismatch_rejected():
         solve(np.eye(3), np.ones(4))
 
 
+@pytest.mark.parametrize("shape, m", [((3, 4), 3), ((3, 2), 3), ((3,), 3), ((3, 3), 4)])
+def test_malformed_factorization_rejected(shape, m):
+    """A factorization whose lu is not (m, m) for its m pivots."""
+    with pytest.raises(DimensionError, match="expected one factorization"):
+        lu_solve((np.zeros(shape), np.arange(m)), np.ones(shape[0]))
+
+
 def test_pivoting_handles_zero_leading_entry():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(solve(a, np.array([2.0, 3.0])), [3.0, 2.0])
@@ -225,16 +232,16 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         return row_loop(lu, threshold)
     monkeypatch.setattr(linalg, "_lu_rows", counted_row_loop)
     halves = []
-    row_solver, substitute = linalg._row_solver, linalg._substitute
+    solve_once, substitute = linalg._solve_once, linalg._substitute
 
-    def counted_row_solver(lu, perm, half=0):
+    def counted_solve_once(lu, perm, b, half):
         halves.append(half)
-        return row_solver(lu, perm, half)
+        return solve_once(lu, perm, b, half)
 
     def counted_substitute(lu, perm, b, half):
         halves.append(half)
         return substitute(lu, perm, b, half)
-    monkeypatch.setattr(linalg, "_row_solver", counted_row_solver)
+    monkeypatch.setattr(linalg, "_solve_once", counted_solve_once)
     monkeypatch.setattr(linalg, "_substitute", counted_substitute)
     rhs = np.concatenate((z0.q, z0.p))
     schur = 0
@@ -252,7 +259,8 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         halves.clear()
         x, f = lu_solve((lu, perm), rhs), lu_solve((lu, perm), m)
         assert halves == ([n, n] if qualifies else [0, 0])
-        assert x.tobytes() == row_solver(lu, perm)(rhs).tobytes()
+        assert x.tobytes() == solve_once(lu, perm, rhs, 0).tobytes()
+        assert x.tobytes() == linalg._row_solver(lu, perm)(rhs).tobytes()
         assert f.tobytes() == substitute(lu, perm, m, 0).tobytes()
     assert schur >= 70 and len(matrices) - schur >= 1
 
@@ -400,20 +408,23 @@ def test_special_entries_factor_as_the_reference(entry, value, finite):
 
 
 @pytest.mark.parametrize("m, scheme", [(1, False), (2, False), (3, False), (4, False),
-                                       (12, False), (12, True)])
+                                       (12, False), (12, True), (32, True)])
 def test_prepared_solve_is_bitwise_the_reference(m, scheme):
-    """The prepared solve takes one-element rows as 0.0 + a·x on floats
-    and divides by float pivots. Right-hand sides of signed zeros make
-    every product ±0, so a one-element product of -0.0 that ``@`` turns
-    into +0.0 shows in the result; non-finite ones reach the fallback of
-    the structured solve (``scheme``: a 12×12 scheme factor). Given an
-    ``out``, apart from b or b itself, the solve writes the same bits
+    """The prepared solve and the one-shot ``lu_solve`` of one vector take
+    one-element rows as 0.0 + a·x on floats and divide by float pivots.
+    Right-hand sides of signed zeros make every product ±0, so a
+    one-element product of -0.0 that ``@`` turns into +0.0 shows in the
+    result; non-finite ones reach the fallback of the structured solve
+    (``scheme``: a scheme factor, Schur-factored). Given an ``out``,
+    apart from b or b itself, the prepared solve writes the same bits
     there and returns it."""
     rng = np.random.default_rng(m)
     if scheme:
-        k = rng.uniform(-1.0, 1.0, (6, 6))
-        a = integrators.scheme_factors(k @ k.T + np.eye(6), np.eye(6) / 8.0, 0.2)[0]
-        assert linalg._unit_rows(lu_factor(a)[0]) == 6
+        h = m // 2
+        k = rng.uniform(-1.0, 1.0, (h, h)) * (6 / h) ** 0.5
+        a = integrators.scheme_factors(k @ k.T + np.eye(h), np.eye(h) / 8.0, 0.2)[0]
+        assert np.abs(a[h:, :h]).max() <= 1.0
+        assert linalg._unit_rows(lu_factor(a)[0]) == h
     else:
         a = rng.uniform(-1.0, 1.0, (m, m))
     factorization = lu_factor(a)
@@ -428,6 +439,7 @@ def test_prepared_solve_is_bitwise_the_reference(m, scheme):
         with np.errstate(invalid="ignore", over="ignore"):
             expected = reference_lu_solve(factorization, b).tobytes()
             assert solve(b).tobytes() == expected
+            assert lu_solve(factorization, b).tobytes() == expected
             out = np.full(m, np.nan)
             assert solve(b, out) is out and out.tobytes() == expected
             assert b.tobytes() == given

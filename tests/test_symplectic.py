@@ -8,6 +8,7 @@ from damped_midpoint import (
     cayley,
     factored_symplectic_defect,
     infinitesimal_symplectic_defect,
+    scaled_verdict,
     scheme_factors,
     symplectic_defect,
     symplectic_form,
@@ -93,6 +94,13 @@ class TestSymplecticDefect:
         for _ in range(25):
             f = cayley(random_sp_element(rng, n))
             assert symplectic_defect(f) <= 1e-10
+
+
+class TestScaledVerdict:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_defect_that_is_not_finite_gives_insufficient_data(self, bad):
+        assert scaled_verdict([], []) == ("insufficient data", None, None)
+        assert scaled_verdict([0.0, bad, 1.0], [1.0] * 3) == ("insufficient data", None, None)
 
 
 class TestCayley:
