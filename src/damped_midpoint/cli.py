@@ -485,7 +485,8 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
                           else int(nonsingular_steps[indirect[2]]) + 1}}
     for family, word in verdicts.items():
         peak = defect_direct_max if family == "direct" else defect_indirect_max
-        detail = "no non-singular steps" if peak is None else f"max defect {peak:.3e}"
+        detail = ("no non-singular steps" if peak is None else f"max defect {peak:.3e}"
+                  if np.isfinite(peak) else "a defect is not finite")
         print(f"{family} transition family: {word} ({detail})")
     return _write_artifacts(prefix, ("symplectic", "symplectic"), _csv(
         ["step", "t", "defect_direct", "defect_indirect", "factor_defect_direct",

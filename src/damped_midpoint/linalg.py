@@ -317,8 +317,8 @@ def _substitute(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
 
 
 def _solve_once(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
-    """``lu_solve`` of one vector b, m ≥ 3: :func:`_row_solver`'s loop run
-    once without preparing, so with its skip of ``half`` rows and rerun."""
+    """``lu_solve`` of one vector b, m ≥ 3: :func:`_row_solver`'s loop run once
+    unprepared, skip of ``half`` rows and rerun included (cheaper for one b only)."""
     m, pivots, x = len(perm), np.diagonal(lu).tolist(), b[perm]
     if not half:
         x[1] -= 0.0 + lu.item(1, 0) * x.item(0)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import tempfile
 import tracemalloc
 import warnings
@@ -63,6 +64,25 @@ def tiny_config(tmp_path):
         "tau": 1e-100,
         "n_steps": 5,
     }))
+    return path
+
+
+# (K, C, q, p, τ) past the float limit: (τ/2)·K overflows in the scheme
+# factors, whose direct factor then fails at step 1; M·J·Mᵀ of τ = 1e300
+# is inf - inf, so the direct factor-pair defect is NaN on every step;
+# K̃'s q' + q overflows.
+HOSTILE_CONFIGS = {
+    "scheme-factors": ([[1e308]], [[0.0]], [0.0], [0.0], 1e10),
+    "factor-defect": ([[-0.3]], [[-1e-320]], [0.0], [0.0], 1e300),
+    "ktilde-sum": ([[-0.0]], [[-1e-300]], [1e308], [7.0], 1000.0),
+}
+
+
+def write_config(path, K, C, q, p, tau, n_steps, **fields):
+    """Write a config of these values (NaN and ±inf as JSON's ``NaN`` and
+    ``Infinity`` literals) and return its path."""
+    path.write_text(json.dumps({"system": {"K": K, "C": C}, "initial": {"q": q, "p": p},
+                                "tau": tau, "n_steps": n_steps, **fields}))
     return path
 
 
@@ -403,26 +423,23 @@ class TestArtifacts:
             warnings.simplefilter("always")
             rc = run_cli([sub, "--config", tiny_config, "--method", method,
                           "--out", tmp_path / "x"])
-        assert rc == code, capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert rc == code, err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        if sub == "check-symplectic" and method == "midpoint_direct":
+            # The K̃ 0/0 defects are NaN: no maximum is printed.
+            assert "indirect transition family: insufficient data " \
+                   "(a defect is not finite)\n" in out
 
-    @pytest.mark.parametrize("sub, system, initial, tau, code", [
-        ("compare", ([[1e308]], [[0.0]]), ([0.0], [0.0]), 1e10, cli.EXIT_SOLVER),
-        ("check-symplectic", ([[1e308]], [[0.0]]), ([0.0], [0.0]), 1e10, cli.EXIT_SOLVER),
-        ("check-symplectic", ([[-0.3]], [[-1e-320]]), ([0.0], [0.0]), 1e300, 0),
-        ("check-symplectic", ([[-0.0]], [[-1e-300]]), ([1e308], [7.0]), 1000.0, 0),
+    @pytest.mark.parametrize("sub, name, code", [
+        ("compare", "scheme-factors", cli.EXIT_SOLVER),
+        ("check-symplectic", "scheme-factors", cli.EXIT_SOLVER),
+        ("check-symplectic", "factor-defect", 0),
+        ("check-symplectic", "ktilde-sum", 0),
     ], ids=["scheme-factors-compare", "scheme-factors-check", "factor-defect", "ktilde-sum"])
-    def test_overflow_warns_nothing(self, tmp_path, capsys, sub, system, initial, tau, code):
-        """Arithmetic past the float limit is silent: (τ/2)·K in the scheme
-        factors, whose direct factor then fails at step 1; the factor-pair
-        defect's products; and K̃'s q' + q."""
-        config = tmp_path / "huge.json"
-        config.write_text(json.dumps({
-            "system": {"K": system[0], "C": system[1]},
-            "initial": {"q": initial[0], "p": initial[1]},
-            "tau": tau,
-            "n_steps": 5,
-        }))
+    def test_overflow_warns_nothing(self, tmp_path, capsys, sub, name, code):
+        """Arithmetic past the float limit is silent (``HOSTILE_CONFIGS``)."""
+        config = write_config(tmp_path / "huge.json", *HOSTILE_CONFIGS[name], 5)
         prefix = tmp_path / "x"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -855,16 +872,12 @@ class TestCheckSymplectic:
         assert float(first[5]) <= 1e-12   # indirect factor pair passes
 
     def test_non_finite_defects_are_empty_cells(self, tmp_path, capsys):
-        """M·J·Mᵀ of τ = 1e300 overflows to inf - inf, so every direct
-        factor-pair defect is NaN: each is an empty cell, as a singular
+        """Every direct factor-pair defect of ``HOSTILE_CONFIGS``'
+        factor-defect config is NaN: each is an empty cell, as a singular
         step's. The transition defect stays finite, so the direct verdict
         stands; a family with a defect that is not finite would have
         insufficient data."""
-        config = tmp_path / "huge.json"
-        config.write_text(json.dumps({
-            "system": {"K": [[-0.3]], "C": [[-1e-320]]},
-            "initial": {"q": [0.0], "p": [0.0]}, "tau": 1e300, "n_steps": 5,
-        }))
+        config = write_config(tmp_path / "huge.json", *HOSTILE_CONFIGS["factor-defect"], 5)
         assert run_cli(["check-symplectic", "--config", config, "--method", "midpoint_direct",
                         "--out", tmp_path / "sym"]) == 0
         rows = [row.split(",") for row in
@@ -908,15 +921,6 @@ def test_blow_up_reports_step(tmp_path, capsys):
     assert err["step"] == 149
     assert "step 149" in err["message"]
 
-
-# Configs of the warning tests above: (τ/2)·K overflows in the scheme
-# factors; the factor-pair defect of τ = 1e300 is NaN on every step; K̃'s
-# q' + q overflows.
-HOSTILE_CONFIGS = [
-    ([[1e308]], [[0.0]], [0.0], [0.0], 1e10, "midpoint_direct"),
-    ([[-0.3]], [[-1e-320]], [0.0], [0.0], 1e300, "midpoint_direct"),
-    ([[-0.0]], [[-1e-300]], [1e308], [7.0], 1000.0, "midpoint_direct"),
-]
 
 _SIGNED_POWER = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
                           st.integers(-320, 308))
@@ -965,9 +969,9 @@ def _cell_ok(cell):
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(_fuzz_configs(), st.integers(1, 6))
-@example(HOSTILE_CONFIGS[0], 5)
-@example(HOSTILE_CONFIGS[1], 5)
-@example(HOSTILE_CONFIGS[2], 5)
+@example((*HOSTILE_CONFIGS["scheme-factors"], "midpoint_direct"), 5)
+@example((*HOSTILE_CONFIGS["factor-defect"], "midpoint_direct"), 5)
+@example((*HOSTILE_CONFIGS["ktilde-sum"], "midpoint_direct"), 5)
 def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps):
     """Every subcommand on a drawn config exits 0, 2, 3 or 4 with no
     exception and no warning; every JSON it writes (artifacts, or the
@@ -975,10 +979,8 @@ def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps):
     exits 0 is finite or empty. The convergence ladder is one step of τ."""
     K, C, q, p, tau, method = config
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzz.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"system": {"K": K, "C": C}, "initial": {"q": q, "p": p},
-                       "tau": tau, "n_steps": steps, "method": method}, fh)
+        path = write_config(pathlib.Path(tmp, "fuzz.json"), K, C, q, p, tau, steps,
+                            method=method)
         for sub in ("run", "compare", "convergence", "check-symplectic"):
             prefix = os.path.join(tmp, sub)
             extra = ["--levels", 1, "--t-final", _horizon(tau)] if sub == "convergence" else []

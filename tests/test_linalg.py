@@ -232,7 +232,12 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         return row_loop(lu, threshold)
     monkeypatch.setattr(linalg, "_lu_rows", counted_row_loop)
     halves = []
-    solve_once, substitute = linalg._solve_once, linalg._substitute
+    row_solver, solve_once, substitute = linalg._row_solver, linalg._solve_once, \
+        linalg._substitute
+
+    def counted_row_solver(lu, perm, half=0):
+        halves.append(half)
+        return row_solver(lu, perm, half)
 
     def counted_solve_once(lu, perm, b, half):
         halves.append(half)
@@ -241,6 +246,7 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
     def counted_substitute(lu, perm, b, half):
         halves.append(half)
         return substitute(lu, perm, b, half)
+    monkeypatch.setattr(linalg, "_row_solver", counted_row_solver)
     monkeypatch.setattr(linalg, "_solve_once", counted_solve_once)
     monkeypatch.setattr(linalg, "_substitute", counted_substitute)
     rhs = np.concatenate((z0.q, z0.p))
@@ -254,13 +260,15 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         stacked = lu_factor(m[None])
         assert lu.tobytes() == stacked[0][0].tobytes()
         assert perm.tobytes() == stacked[1][0].tobytes()
-        # The solves of a Schur-factored matrix skip its first n rows;
-        # the others run every row. Both give the full loop's bits.
+        # The solves of a Schur-factored matrix skip its first n rows:
+        # one vector, a matrix and the prepared solve of the direct steps.
+        # The others run every row. All give the full loop's bits.
         halves.clear()
         x, f = lu_solve((lu, perm), rhs), lu_solve((lu, perm), m)
-        assert halves == ([n, n] if qualifies else [0, 0])
-        assert x.tobytes() == solve_once(lu, perm, rhs, 0).tobytes()
-        assert x.tobytes() == linalg._row_solver(lu, perm)(rhs).tobytes()
+        prepared = lu_solver((lu, perm))(rhs)
+        assert halves == ([n, n, n] if qualifies else [0, 0, 0])
+        assert x.tobytes() == prepared.tobytes() == solve_once(lu, perm, rhs, 0).tobytes()
+        assert x.tobytes() == row_solver(lu, perm)(rhs).tobytes()
         assert f.tobytes() == substitute(lu, perm, m, 0).tobytes()
     assert schur >= 70 and len(matrices) - schur >= 1
 
