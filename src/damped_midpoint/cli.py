@@ -229,9 +229,9 @@ def _write_atomic(path: Path, text: str):
 
 #: Rows per CSV formatting block. A block's cells are formatted from its
 #: slice of each column (an array slice becomes Python values only then)
-#: and joined into one string at once, so rendering holds the block
-#: strings and, at the end, their join: never every row string, nor an
-#: array column as Python values.
+#: and joined into one string at once, appended to the text (CPython
+#: grows it in place): rendering never holds every row string, every
+#: block string, nor an array column as Python values.
 _CSV_BLOCK_ROWS = 256
 
 
@@ -256,11 +256,11 @@ def _csv(header: list[str], columns) -> str:
     """CSV text of equal-length columns (lists, ``range``s, 1-D arrays,
     ``_Nonsingular`` or ``_Repeated`` columns) under ``header``, formatted
     a block of rows at a time, column by column."""
-    blocks = [",".join(header) + "\n"]
+    text = ",".join(header) + "\n"
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         cells = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns]
-        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(blocks)
+        text += "\n".join(map(",".join, zip(*cells))) + "\n"
+    return text
 
 
 def _json_text(obj) -> str:

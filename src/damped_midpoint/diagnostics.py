@@ -82,9 +82,16 @@ def period_estimate(tr: Trajectory, component: int = 0) -> float:
 
 
 #: Most steps one convergence study may take, ladder and RK4 reference
-#: together; 10⁸ direct midpoint steps of a scalar system take minutes.
-#: A larger study is refused before any stepping.
+#: together, each weighted by its method's ``STEP_COST``; 10⁸ direct
+#: midpoint steps of a scalar system take minutes. A larger study is
+#: refused before any stepping.
 MAX_STUDY_STEPS = 10 ** 8
+
+#: A step's cost in direct midpoint steps, rounded up from the largest
+#: ratio measured by ``propagate`` at n = 1, 2, 4, 8 and 16, which is at
+#: n = 1 for both: an indirect step took 15-19 and an RK4 step 17 direct
+#: steps of about 1-1.7 µs (n = 16: 5-8 and 0.6-1.1).
+STEP_COST = {"midpoint_direct": 1, "midpoint_indirect": 20, "rk4": 20}
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,9 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     the stacked (q, p) vector; observed orders are log₂ of successive
     error ratios, None where a ratio is not finite and positive. A bad
     method or ε, a ``levels`` that is not an int or numpy integer (never
-    truncated), or a study whose ladder and reference steps add up to
-    more than ``MAX_STUDY_STEPS``, raises ``ValueError`` before any stepping.
+    truncated), or a study whose ladder and reference steps, weighted by
+    ``STEP_COST``, add up to more than ``MAX_STUDY_STEPS``, raises
+    ``ValueError`` before any stepping.
     """
     _check_scheme(method, epsilon)
     if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
@@ -157,8 +165,9 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     closed_form = sys.n == 1 and c >= 0.0 and c * c < 4.0 * k
     tau_ref = tau_max / 1024.0
     ref_steps = 0 if closed_form else _step_count(t_final, tau_ref)
-    if sum(counts) + ref_steps > MAX_STUDY_STEPS:
-        raise ValueError(f"the study takes {sum(counts) + ref_steps} steps, "
+    cost = STEP_COST[method] * sum(counts) + STEP_COST["rk4"] * ref_steps
+    if cost > MAX_STUDY_STEPS:
+        raise ValueError(f"the study costs {cost} direct midpoint steps (STEP_COST), "
                          f"more than MAX_STUDY_STEPS = {MAX_STUDY_STEPS}")
     if closed_form:
         q_ref, p_ref = analytic_1d(k, c, float(z0.q[0]), float(z0.p[0]), t_final)

@@ -147,35 +147,32 @@ def _rk4(K, C, tau):
 
 def _step_kernel(K, C, tau, method, epsilon, direct):
     """The one-step map of ``method``: ``step(z, out)`` writes z' into
-    ``out``, never into the state z = (q, p), and returns ``ks``.
+    ``out`` (not z), never into the state z = (q, p). The indirect step
+    returns ``ks``; what the others return is not used.
 
     ``direct`` is the direct scheme's ``(factorization, N)`` pair, which
-    depends only on (K, C, τ); RK4 ignores it. Its solve is prepared once
-    (``linalg.lu_solver``), and each direct step and indirect probe is
-    ``solve1(N.dot(z), out)``. ``ndarray.dot`` costs less per call than ``@``
-    and gave the same bits for every 2n×2n matrix-vector product tried,
+    depends only on (K, C, τ); RK4 ignores it. It is prepared once as
+    M⁻¹(N·z), ``linalg.lu_solver(factorization, N)``: the direct step and
+    the indirect probe. Its N·z is ``ndarray.dot``, cheaper per call than
+    ``@`` and the same bits for every 2n×2n matrix-vector product tried,
     with signed zeros, infinities, NaN, 1e-300 and 3e300 entries, under
     the SkylakeX, Haswell and Sandybridge OpenBLAS kernels; the two differ
     only for one-element products, and 2n ≥ 2. Each substituting factor
-    serves one solve, unprepared (``linalg.lu_solve``). ``ks`` is None
-    except for the indirect scheme, which reports ``(diag, valid,
-    substitute)``: the step's equivalent stiffness as float lists and,
-    when every component is valid, the substituting scheme's
-    ``(factorization, N)`` pair it stepped with (else None, and z' is the
-    probe)."""
+    serves one solve, unprepared (``linalg.lu_solve``). ``ks`` is
+    ``(diag, valid, substitute)``: the step's equivalent stiffness as
+    float lists and, when every component is valid, the substituting
+    scheme's ``(factorization, N)`` pair it stepped with (else None, and
+    z' is the probe)."""
     n = K.shape[0]
     if method == "rk4":
         return _rk4(K, C, tau)
-    lu1, n1 = direct
-    solve1 = linalg.lu_solver(lu1)
+    probe = linalg.lu_solver(*direct)
     if method == "midpoint_direct":
-        def step(z, out):
-            solve1(n1.dot(z), out)
-        return step
+        return probe
     pairs = _substituting_pairs(K, tau)
 
     def step(z, out):
-        solve1(n1.dot(z), out)
+        probe(z, out)
         diag, valid = _equivalent_stiffness_floats(C, z[:n], out[:n], tau, epsilon)
         if not all(valid):
             return diag, valid, None
@@ -430,7 +427,7 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
                 try:
                     for k in range(lo, hi):
                         ks = step(zk, zk := z[k])
-                        if ks is not None:
+                        if method == "midpoint_indirect":
                             ktilde[k - 1], valid[k - 1], substitute = ks
                             if substitute is not None and defects:
                                 pending.append((k, *substitute[0], substitute[1]))
@@ -496,7 +493,8 @@ def propagate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     """Advance ``n_steps`` steps and return only the final state.
 
     Record-free variant of :func:`integrate` for convergence ladders and
-    reference solutions, where per-step diagnostics would dominate cost.
+    reference solutions, where per-step diagnostics would dominate cost;
+    a direct step is one call of the prepared M⁻¹(N·z) (``_step_kernel``).
     Finiteness is checked once, on the final state; only when that check
     or a step fails is the run replayed step by step, so the
     :class:`IntegrationError` names the first failing step.

@@ -335,12 +335,14 @@ def _solve_once(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
     return x
 
 
-def lu_solver(factorization):
+def lu_solver(factorization, left=None):
     """``lu_solve`` of one (m, m) factorization, prepared once for many
     float vectors b of length m (``lu_solve`` of one b skips preparing):
     ``lu_solver(f)(b)`` is ``lu_solve(f, b)``.
     ``lu_solver(f)(b, out)`` writes that x into ``out``, a float64 array
     of shape (m,) that may be b, and returns it; nothing else is written.
+    With a left factor N, ``lu_solver(f, N)(z, out)`` is
+    ``lu_solver(f)(N.dot(z), out)`` bit for bit; ``out`` must not be z.
 
     At m = 2 both substitution products have one element and run on the
     four factor floats as ``0.0 + a * b`` (``@`` of one-element vectors
@@ -355,24 +357,24 @@ def lu_solver(factorization):
     if lu.shape != (m, m):
         raise DimensionError(f"expected one factorization, got lu of shape {lu.shape}")
     if m != 2:
-        return _row_solver(lu, perm, _unit_rows(lu))
+        return _row_solver(lu, perm, _unit_rows(lu), left)
     (u00, u01), (l10, u11) = lu.tolist()
     p0, p1 = perm.tolist()
 
     def solve(b, out=None):
-        rhs = b.tolist()
+        rhs = (b if left is None else left.dot(b, out)).tolist()
         try:
             x1 = (rhs[p1] - (0.0 + l10 * rhs[p0])) / u11
             x0 = (rhs[p0] - (0.0 + u01 * x1)) / u00
         except ZeroDivisionError:
-            return _row_solver(lu, perm)(b, out)
+            return _row_solver(lu, perm, 0, left)(b, out)
         out = np.empty(2) if out is None else out
         out[0], out[1] = x0, x1
         return out
     return solve
 
 
-def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
+def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0, left=None):
     """``lu_solver``'s row loop, with the pivots as Python floats and each
     row's product taken once. Rows of two or more elements call the bound
     ``ndarray.dot`` of their view, cheaper per call than ``@`` and the
@@ -384,7 +386,7 @@ def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
 
     ``half`` = n skips rows 0..n-1 as :func:`_substitute` does. A result
     that is not finite (its dot with zeros is NaN, not ±0) is solved
-    again by the full loop."""
+    again by the full loop. A ``left`` factor N starts from N.dot(b)."""
     m = len(perm)
     pivots = np.diagonal(lu).tolist()
     forward = [(k, lu[k, :k].dot) for k in range(max(half, 2), m)]
@@ -396,7 +398,7 @@ def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
         d, zeros = np.diagonal(lu[:half, half:]), np.zeros(m)
 
     def solve(b, out=None):
-        x = b[perm]
+        x = (b if left is None else left.dot(b))[perm]
         if first is not None:
             x[1] -= 0.0 + first * x.item(0)
         for k, product in forward:
@@ -410,7 +412,7 @@ def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0):
         if half:
             x[:half] -= 0.0 + d * x[half:]
             if zeros.dot(x):
-                return _row_solver(lu, perm)(b, out)
+                return _row_solver(lu, perm, 0, left)(b, out)
         if out is None:
             return x
         out[...] = x

@@ -797,6 +797,22 @@ class TestConvergence:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "solver" and "MAX_STUDY_STEPS" in error["message"]
 
+    def test_study_past_its_cost_bound_rejected(self, tmp_path, capsys, monkeypatch):
+        """An overdamped scalar system has no closed form: its 15 000
+        indirect ladder steps come with 10.24 million RK4 reference steps,
+        weighted past the bound (``diagnostics.STEP_COST``)."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused study must not step")
+        monkeypatch.setattr(diagnostics, "propagate", no_stepping)
+        config = write_config(tmp_path / "costly.json", [[-0.0]], [[100.0]], [0.0], [-2.0],
+                              0.001, 20, method="midpoint_indirect")
+        rc = run_cli(["convergence", "--config", config, "--out", tmp_path / "conv",
+                      "--levels", 2, "--t-final", 10.0])
+        assert rc == cli.EXIT_SOLVER
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "solver" and "MAX_STUDY_STEPS" in error["message"]
+        assert not (tmp_path / "conv.convergence.csv").exists()
+
 
 class TestCheckSymplectic:
     def test_paper_1d_verdicts(self, tmp_path, capsys):

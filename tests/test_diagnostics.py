@@ -172,3 +172,28 @@ class TestConvergenceStudy:
         assert "rk4" in table.reference
         for row in table.rows[1:]:
             assert row.observed_order == pytest.approx(2.0, abs=0.1)
+
+    def test_study_is_bounded_by_its_weighted_cost(self, monkeypatch):
+        """15 000 indirect ladder steps and a 10.24 million step RK4
+        reference, 10 255 000 steps in all, cost 205 400 000 direct steps:
+        refused before stepping, though the count alone would pass."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused study must not step")
+        monkeypatch.setattr(diagnostics, "propagate", no_stepping)
+        sys_ = dm.make_system([[-0.0]], [[100.0]])
+        z0 = dm.PhaseState(0.0, [0.0], [-2.0])
+        assert 15_000 + 10_240_000 < diagnostics.MAX_STUDY_STEPS
+        with pytest.raises(ValueError, match="costs 205400000 .*MAX_STUDY_STEPS"):
+            dm.convergence_study(sys_, z0, 0.001, 2, 10.0, "midpoint_indirect")
+
+    @pytest.mark.parametrize("method", dm.METHODS)
+    def test_a_study_at_the_cost_bound_runs(self, sys_2d, z0_2d, monkeypatch, method):
+        """A ladder of 2 + 4 steps and a 2 048-step reference: each step
+        weighs its method's ``STEP_COST``, and the bound admits its own
+        value."""
+        cost = 6 * diagnostics.STEP_COST[method] + 2048 * diagnostics.STEP_COST["rk4"]
+        monkeypatch.setattr(diagnostics, "MAX_STUDY_STEPS", cost - 1)
+        with pytest.raises(ValueError, match="MAX_STUDY_STEPS"):
+            dm.convergence_study(sys_2d, z0_2d, 0.5, 2, 1.0, method)
+        monkeypatch.setattr(diagnostics, "MAX_STUDY_STEPS", cost)
+        assert len(dm.convergence_study(sys_2d, z0_2d, 0.5, 2, 1.0, method).rows) == 2

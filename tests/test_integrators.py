@@ -9,7 +9,7 @@ import damped_midpoint as dm
 from damped_midpoint import integrators
 from damped_midpoint.errors import DimensionError, IntegrationError, InvalidStiffnessError
 from reference_steps import reference_step, rk4
-from test_properties import NEAR_SINGULAR_SUBSTITUTE, SINGULAR_SUBSTITUTE
+from test_properties import NEAR_SINGULAR_SUBSTITUTE, SINGULAR_SUBSTITUTE, seeded_system
 
 
 def closed_form_step(k, c, tau, q, p):
@@ -311,15 +311,6 @@ class TestIntegrate:
         assert np.array_equal(tr.steps[0].state.q, direct.steps[0].state.q)
 
 
-def seeded_system(n=16, seed=0):
-    """Seeded n-DOF system: SPD K and PSD C from integer Gram matrices."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-3, 4, size=(n, n))
-    b = rng.integers(-1, 2, size=(n, n))
-    sys_ = dm.make_system((a @ a.T + n * np.eye(n)) / 64.0, (b @ b.T) / 512.0)
-    return sys_, dm.PhaseState(0.0, rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n))
-
-
 class TestTrajectoryArrays:
     @pytest.mark.parametrize("system", ["paper_2d", "seeded_16d"])
     @pytest.mark.parametrize("method", dm.METHODS)
@@ -447,7 +438,8 @@ class TestRk4Kernel:
 
 class TestStepKernel:
     """``step(z, out)`` of each scheme writes ``reference_step``'s bits
-    into ``out`` and leaves z as it was."""
+    into ``out`` and leaves z as it was. The indirect step returns its
+    ``ks``, the direct step ``out`` and RK4 None."""
 
     @pytest.mark.parametrize("method", dm.METHODS)
     @pytest.mark.parametrize("case", ["1d", "zero-crossing", "2d", "6dof"])
@@ -478,8 +470,8 @@ class TestStepKernel:
                 assert diag == ktilde.diag.tolist() and valid == ktilde.valid.tolist()
                 assert (substitute is None) == (not ktilde.all_valid)
                 singular.append(substitute is None)
-            else:
-                assert ks is None
+            else:   # the direct step is the prepared solve, which returns out
+                assert ks is (out if method == "midpoint_direct" else None)
         if method == "midpoint_indirect":
             assert singular[0] == (case == "zero-crossing")
 

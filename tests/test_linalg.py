@@ -235,9 +235,9 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
     row_solver, solve_once, substitute = linalg._row_solver, linalg._solve_once, \
         linalg._substitute
 
-    def counted_row_solver(lu, perm, half=0):
+    def counted_row_solver(lu, perm, half=0, left=None):
         halves.append(half)
-        return row_solver(lu, perm, half)
+        return row_solver(lu, perm, half, left)
 
     def counted_solve_once(lu, perm, b, half):
         halves.append(half)
@@ -425,18 +425,31 @@ def test_prepared_solve_is_bitwise_the_reference(m, scheme):
     result; non-finite ones reach the fallback of the structured solve
     (``scheme``: a scheme factor, Schur-factored). Given an ``out``,
     apart from b or b itself, the prepared solve writes the same bits
-    there and returns it."""
+    there and returns it. With a left factor N (the scheme's N, else a
+    random one), ``lu_solver(f, N)(z, out)`` writes ``solve(N.dot(z))``'s
+    bits, and z is never written; at m = 2 also for a factor with a zero
+    pivot, whose every solve falls back to the row loop (and is NaN)."""
     rng = np.random.default_rng(m)
     if scheme:
         h = m // 2
         k = rng.uniform(-1.0, 1.0, (h, h)) * (6 / h) ** 0.5
-        a = integrators.scheme_factors(k @ k.T + np.eye(h), np.eye(h) / 8.0, 0.2)[0]
+        a, left = integrators.scheme_factors(k @ k.T + np.eye(h), np.eye(h) / 8.0, 0.2)
         assert np.abs(a[h:, :h]).max() <= 1.0
         assert linalg._unit_rows(lu_factor(a)[0]) == h
     else:
         a = rng.uniform(-1.0, 1.0, (m, m))
+        left = np.random.default_rng(100 + m).uniform(-1.0, 1.0, (m, m))
     factorization = lu_factor(a)
-    solve = lu_solver(factorization)
+    solve, folded_solve = lu_solver(factorization), lu_solver(factorization, left)
+
+    def assert_folds_left(solve, folded_solve, z):
+        given = z.tobytes()
+        expected = solve(left.dot(z)).tobytes()
+        out = np.full(m, np.nan)
+        assert folded_solve(z, out) is out and out.tobytes() == expected
+        assert folded_solve(z).tobytes() == expected
+        assert z.tobytes() == given
+        return expected
     signs = (np.array(list(itertools.product([0.0, -0.0], repeat=m))) if m <= 4
              else rng.choice([0.0, -0.0], (256, m)))
     special = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0, -2.0,
@@ -453,5 +466,14 @@ def test_prepared_solve_is_bitwise_the_reference(m, scheme):
             assert b.tobytes() == given
             inplace = b.copy()
             assert solve(inplace, inplace) is inplace and inplace.tobytes() == expected
+            folded = assert_folds_left(solve, folded_solve, b)
         finite.append(np.isfinite(np.frombuffer(expected)).all())
+        finite.append(np.isfinite(np.frombuffer(folded)).all())
     assert not all(finite)
+    if m == 2:
+        zero_pivot = lu_factor(np.array([[0.0, 0.0], [0.0, np.nan]]))
+        assert zero_pivot[0][0, 0] == 0.0
+        solve, folded_solve = lu_solver(zero_pivot), lu_solver(zero_pivot, left)
+        for z in (np.array([1.0, 2.0]), signs[1]):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                assert np.isnan(np.frombuffer(assert_folds_left(solve, folded_solve, z))).all()
