@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +61,17 @@ class RunConfig:
     label: str
 
 
+@functools.cache
+def _bundled_configs() -> Path:
+    """The package's configs directory, resolved once per process."""
+    return Path(str(resources.files("damped_midpoint") / "configs"))
+
+
 def bundled_config_path(name: str) -> Path:
     """Path of a configuration shipped with the package (e.g. ``paper_1d``)."""
     if not name.endswith(".json"):
         name = name + ".json"
-    return Path(str(resources.files("damped_midpoint") / "configs" / name))
+    return _bundled_configs() / name
 
 
 def _load_json(path: Path) -> dict:
@@ -207,20 +214,25 @@ _WRITE_SLICE_CHARS = 1 << 16
 
 
 def _write_atomic(path: Path, text: str):
-    """Write ``text`` to ``path`` as UTF-8 through a temp file of a unique
-    name in the same directory, renamed over ``path``; a failed write
-    removes the temp file. The file gets the permissions a plain ``open``
-    gives. The text is encoded a slice at a time, so its whole encoded
-    copy is never held."""
+    """Write ``text`` to ``path`` as UTF-8 through a temp file of a random,
+    unused name in the same directory, renamed over ``path``; a failed
+    write removes the temp file. The temp file is created with mode 0o666,
+    so the kernel applies the umask and the file gets the permissions a
+    plain ``open`` gives; the process umask is never read or changed. The
+    text is encoded a slice at a time, so its whole encoded copy is never
+    held."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with open(fd, "wb") as fh:
             for lo in range(0, len(text), _WRITE_SLICE_CHARS):
                 fh.write(text[lo:lo + _WRITE_SLICE_CHARS].encode("utf-8"))
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -229,37 +241,43 @@ def _write_atomic(path: Path, text: str):
 
 #: Rows per CSV formatting block. A block's cells are formatted from its
 #: slice of each column (an array slice becomes Python values only then)
-#: and joined into one string at once, appended to the text (CPython
-#: grows it in place): rendering never holds every row string, every
-#: block string, nor an array column as Python values.
+#: by one ``%`` into one string, appended to the text (CPython grows it
+#: in place): rendering never holds every row string, every block string,
+#: nor an array column as Python values.
 _CSV_BLOCK_ROWS = 256
 
 
-def _cells(column) -> list[str]:
-    """One CSV column block (an array's as Python values) rendered as the
-    kind of its first value that is not None: ints (the step) by ``str``,
-    bools as ``true``/``false``, floats at 17 significant digits. None is
-    an empty cell. A column of ``str`` (a run constant) is its own cells."""
+def _cells(column) -> tuple[str, list]:
+    """One CSV column block as ``(format, values)`` for one ``%``. The one
+    cell rule: a float that is not finite, or a None, is an empty cell. A
+    float array block that is all finite passes its floats under
+    ``%.17g``, ints (the step) pass under ``%d``; bools (as
+    ``true``/``false``), run constants (a ``str`` column is its own cells)
+    and any block with an empty cell pass as strings under ``%s``."""
     if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f" and np.isfinite(column).all():
+            return "%.17g", column.tolist()
         column = column.tolist()
     kind = next((x for x in column if x is not None), None)
     if isinstance(kind, str):
-        return column
+        return "%s", column
     if isinstance(kind, bool):
-        return ["true" if x else "false" for x in column]
+        return "%s", ["true" if x else "false" for x in column]
     if isinstance(kind, (int, np.integer)):
-        return [str(x) for x in column]
-    return ["" if x is None else "%.17g" % x for x in column]
+        return "%d", column
+    return "%s", ["%.17g" % x if x is not None and math.isfinite(x) else "" for x in column]
 
 
 def _csv(header: list[str], columns) -> str:
-    """CSV text of equal-length columns (lists, ``range``s, 1-D arrays,
-    ``_Nonsingular`` or ``_Repeated`` columns) under ``header``, formatted
-    a block of rows at a time, column by column."""
+    """CSV text of equal-length columns (lists, ``range``s, 1-D arrays or
+    ``_Repeated`` columns) under ``header``. Each block of rows is one
+    ``%`` of the row format repeated once per row over the block's values
+    taken row by row."""
     text = ",".join(header) + "\n"
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        cells = [_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns]
-        text += "\n".join(map(",".join, zip(*cells))) + "\n"
+        formats, values = zip(*[_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns])
+        row = ",".join(formats) + "\n"
+        text += row * len(values[0]) % tuple(chain.from_iterable(zip(*values)))
     return text
 
 
@@ -301,18 +319,6 @@ def _write_artifacts(prefix: str, kinds: tuple[str, str], csv_text: str,
 
 # --- artifact builders ------------------------------------------------------
 
-class _Nonsingular:
-    """A CSV column of per-step ``values``, None where ``singular`` is set or a
-    value is not finite: a slice is that block's floats and Nones, made when rendered."""
-
-    def __init__(self, values, singular):
-        self.values, self.singular = values, singular | ~np.isfinite(values)
-
-    def __getitem__(self, rows):
-        return [None if singular else value for singular, value
-                in zip(self.singular[rows].tolist(), self.values[rows].tolist())]
-
-
 class _Repeated:
     """A CSV column of ``length`` cells, empty before row ``start`` and
     ``value`` (empty if not finite) from there: a slice is that block's cells."""
@@ -332,13 +338,10 @@ def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
     n = tr.system.n
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"p_{i}" for i in range(n)]
               + ["E", "work_cum", "hhat", "defect_direct", "defect_indirect", "singular"])
-    e0 = report.initial_energy
     columns = [range(tr.n_steps + 1), tr.t, *tr.q.T, *tr.p.T,
-               np.concatenate(([e0], tr.energy)), report.work_cumulative,
-               np.concatenate(([e0], tr.hhat)),
+               report.energy, report.work_cumulative, report.hhat,
                _Repeated(tr.defect_direct, tr.n_steps + 1, 1),
-               _Nonsingular(np.concatenate(([np.nan], tr.defect_indirect)),
-                            np.concatenate(([True], tr.singular))),
+               np.concatenate(([np.nan], tr.defect_indirect)),
                np.concatenate(([False], tr.singular))]
     return _csv(header, columns)
 
@@ -469,9 +472,8 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
     columns = [range(1, tr.n_steps + 1), tr.t[1:],
                _Repeated(tr.defect_direct, tr.n_steps),
-               _Nonsingular(tr.defect_indirect, tr.singular),
-               _Repeated(factor_direct, tr.n_steps),
-               _Nonsingular(factor_indirect, tr.singular), tr.singular]
+               tr.defect_indirect, _Repeated(factor_direct, tr.n_steps),
+               factor_indirect, tr.singular]
 
     defect_direct_max, defect_indirect_max = _defect_maxima(tr)
     nonsingular = len(nonsingular_steps)

@@ -82,16 +82,27 @@ def period_estimate(tr: Trajectory, component: int = 0) -> float:
 
 
 #: Most steps one convergence study may take, ladder and RK4 reference
-#: together, each weighted by its method's ``STEP_COST``; 10⁸ direct
-#: midpoint steps of a scalar system take minutes. A larger study is
-#: refused before any stepping.
+#: together, each weighted by ``STEP_COST`` at its method and size; 10⁸
+#: direct midpoint steps of a scalar system take minutes, so at every n the
+#: bound admits minutes of stepping. A larger study is refused before any
+#: stepping.
 MAX_STUDY_STEPS = 10 ** 8
 
-#: A step's cost in direct midpoint steps, rounded up from the largest
-#: ratio measured by ``propagate`` at n = 1, 2, 4, 8 and 16, which is at
-#: n = 1 for both: an indirect step took 15-19 and an RK4 step 17 direct
-#: steps of about 1-1.7 µs (n = 16: 5-8 and 0.6-1.1).
-STEP_COST = {"midpoint_direct": 1, "midpoint_indirect": 20, "rk4": 20}
+#: A step's cost in direct midpoint steps of a scalar system (about
+#: 0.8-1.7 µs each), as (cost at n = 1, cost of each further degree of
+#: freedom): ``first + per_dof · (n - 1)``. Each slope is rounded up from
+#: the ratios measured by ``propagate`` on seeded systems (best of 7 on a
+#: shared 2-CPU host), which at n = 1, 2, 4, 8 and 16 read 1, 7, 14, 20
+#: and 35 for a direct step (a 2n-row solve), 22, 46, 103, 161 and 286
+#: for an indirect one (a 2n-row factor and solve) and 22, 16, 19, 26
+#: and 38 for RK4 (four numpy matvecs, whose call overhead dominates).
+STEP_COST = {"midpoint_direct": (1, 3), "midpoint_indirect": (20, 20), "rk4": (20, 2)}
+
+
+def _step_cost(method: str, n: int) -> int:
+    """One step's ``STEP_COST`` on an n-DOF system."""
+    first, per_dof = STEP_COST[method]
+    return first + per_dof * (n - 1)
 
 
 @dataclass(frozen=True)
@@ -132,8 +143,8 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     error ratios, None where a ratio is not finite and positive. A bad
     method or ε, a ``levels`` that is not an int or numpy integer (never
     truncated), or a study whose ladder and reference steps, weighted by
-    ``STEP_COST``, add up to more than ``MAX_STUDY_STEPS``, raises
-    ``ValueError`` before any stepping.
+    ``STEP_COST`` at their method and n, add up to more than
+    ``MAX_STUDY_STEPS``, raises ``ValueError`` before any stepping.
     """
     _check_scheme(method, epsilon)
     if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
@@ -165,9 +176,11 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     closed_form = sys.n == 1 and c >= 0.0 and c * c < 4.0 * k
     tau_ref = tau_max / 1024.0
     ref_steps = 0 if closed_form else _step_count(t_final, tau_ref)
-    cost = STEP_COST[method] * sum(counts) + STEP_COST["rk4"] * ref_steps
+    # Summed as floats: a sum of counts past the float range is inf.
+    cost = (_step_cost(method, sys.n) * sum(map(float, counts))
+            + _step_cost("rk4", sys.n) * float(ref_steps))
     if cost > MAX_STUDY_STEPS:
-        raise ValueError(f"the study costs {cost} direct midpoint steps (STEP_COST), "
+        raise ValueError(f"the study costs {cost:.3g} direct midpoint steps (STEP_COST), "
                          f"more than MAX_STUDY_STEPS = {MAX_STUDY_STEPS}")
     if closed_form:
         q_ref, p_ref = analytic_1d(k, c, float(z0.q[0]), float(z0.p[0]), t_final)

@@ -95,6 +95,25 @@ class TestBundledConfigs:
         assert cfg.method == "midpoint_direct"
         assert cfg.system.monotone_energy_certified
 
+    def test_directory_is_resolved_once(self, monkeypatch, tmp_path, capsys):
+        """The configs directory is looked up once per process, not on
+        every CLI call that names a bundled config."""
+        files, lookups = cli.resources.files, []
+
+        def counting(package):
+            lookups.append(package)
+            return files(package)
+        monkeypatch.setattr(cli.resources, "files", counting)
+        cli._bundled_configs.cache_clear()
+        try:
+            for name in ("paper_1d", "paper_2d", "paper_1d.json"):
+                assert bundled_config_path(name).is_file()
+            assert run_cli(["run", "--config", "paper_1d", "--steps", 3,
+                            "--out", tmp_path / "p"]) == 0
+        finally:
+            cli._bundled_configs.cache_clear()
+        assert lookups == ["damped_midpoint"]
+
     @pytest.mark.parametrize("name", ["paper_1d", "paper_2d"])
     def test_round_trip(self, name, tmp_path):
         cfg = load_config(bundled_config_path(name))
@@ -507,6 +526,41 @@ class TestWriteAtomic:
         cli._write_atomic(tmp_path / "atomic", "")
         assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
+    @pytest.mark.parametrize("umask", [0o027, 0o077], ids=["027", "077"])
+    def test_file_mode_follows_the_umask_it_never_touches(self, tmp_path, monkeypatch, umask):
+        """Under a restrictive umask the file still gets a plain ``open``'s
+        mode, and ``_write_atomic`` neither reads nor sets the umask (a
+        process-wide umask of 0, even for a moment, would let another
+        thread create a world-writable file)."""
+        set_umask = os.umask
+        saved = set_umask(umask)
+        try:
+            (tmp_path / "plain").write_text("")
+
+            def no_umask(mask):
+                raise AssertionError("the umask was read or set")
+            monkeypatch.setattr(os, "umask", no_umask)
+            cli._write_atomic(tmp_path / "atomic", "a\n")
+            cli._write_atomic(tmp_path / "atomic", "b\n")
+        finally:
+            set_umask(saved)
+        plain = (tmp_path / "plain").stat().st_mode
+        assert plain & 0o777 == 0o666 & ~umask
+        assert (tmp_path / "atomic").stat().st_mode == plain
+        assert (tmp_path / "atomic").read_text() == "b\n"
+
+    def test_a_temp_name_in_use_is_skipped(self, tmp_path, monkeypatch):
+        """A random temp name that already exists is never opened: the
+        write draws another one and leaves that file as it was."""
+        draws = iter([b"\0" * 6, b"\0" * 6, b"\1" * 6])
+        monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+        taken = tmp_path / f"out.csv.{'00' * 6}.tmp"
+        taken.write_text("someone else's\n")
+        cli._write_atomic(tmp_path / "out.csv", "a\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", taken.name]
+        assert taken.read_text() == "someone else's\n"
+        assert (tmp_path / "out.csv").read_text() == "a\n"
+
     @pytest.mark.parametrize("slices, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (3, 5)],
                              ids=["0", "W-1", "W", "W+1", "3W+5"])
     def test_slices_encode_as_the_whole_text(self, tmp_path, slices, extra):
@@ -553,9 +607,24 @@ class TestWriteAtomic:
 
 
 class TestCsv:
+    @staticmethod
+    def reference(x):
+        """The one cell rule, cell by cell."""
+        if x is None:
+            return ""
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(x)
+        return "%.17g" % x if math.isfinite(x) else ""
+
     def test_blocks_match_the_per_cell_reference(self):
         """Three blocks, the last one short, of every column kind the
-        builders pass, against a reference that formats cell by cell."""
+        builders pass, against a reference that formats cell by cell. A
+        float that is not finite is an empty cell in a float array and in
+        a list with Nones; blocks with one and blocks without both occur."""
         block = cli._CSV_BLOCK_ROWS
         rows = 2 * block + 3
         rng = np.random.default_rng(17)
@@ -563,34 +632,28 @@ class TestCsv:
         floats = rng.standard_normal(rows)
         floats[::7] = np.resize(special, len(floats[::7]))
         states = rng.standard_normal((rows, 3))
-        states[1::5, 1] = np.resize(special, len(states[1::5]))
+        states[block + 1::5, 1] = np.resize(special, len(states[block + 1::5]))
         nones = [None] * block + [None if k % 3 else float(k) for k in range(rows - block)]
+        nones[-1] = math.inf
         columns = [range(rows), floats, -floats[::-1], states.T[1], rng.random(rows) < 0.5,
-                   nones, ["%.17g" % x for x in rng.standard_normal(rows)]]
+                   nones, ["%.17g" % x for x in rng.standard_normal(rows)],
+                   np.arange(rows) * 3]
         header = [f"c{k}" for k in range(len(columns))]
-
-        def reference(x):
-            if x is None:
-                return ""
-            if isinstance(x, str):
-                return x
-            if isinstance(x, (bool, np.bool_)):
-                return "true" if x else "false"
-            if isinstance(x, int):
-                return str(x)
-            return "%.17g" % x
-
         expected = "".join(",".join(line) + "\n" for line in [header] + [
-            [reference(column[i]) for column in columns] for i in range(rows)])
+            [self.reference(column[i]) for column in columns] for i in range(rows)])
         assert cli._csv(header, columns) == expected
-        assert {"-0", "nan", "inf", "-inf", "4.9406564584124654e-324", "1e+308"} \
-            <= set(expected.replace("\n", ",").split(","))
+        cells = set(expected.replace("\n", ",").split(","))
+        assert {"-0", "", "4.9406564584124654e-324", "1e+308"} <= cells
+        assert not {"nan", "inf", "-inf"} & cells
+        assert [cli._cells(states.T[1][lo:lo + block])[0] for lo in range(0, rows, block)] \
+            == ["%.17g", "%s", "%s"]
 
     def test_nonsingular_column_blocks_match_the_per_cell_reference(self):
-        """A per-step column with None on singular steps and on values that
-        are not finite, rendered a block at a time: a whole first block of
-        singular steps, a NaN and an infinity on steps that are not
-        singular, and a short last block."""
+        """A per-step defect column as the integrator leaves it, NaN on
+        singular steps, and with a NaN and an infinity on steps that are
+        not singular, rendered a block at a time: a whole first block of
+        singular steps, a block boundary inside a run of them, and a
+        short last block. Every such cell is empty."""
         block = cli._CSV_BLOCK_ROWS
         rows = 2 * block + 5
         rng = np.random.default_rng(23)
@@ -600,13 +663,36 @@ class TestCsv:
         singular = np.zeros(rows, dtype=bool)
         singular[:block] = True
         singular[block + 2::3] = True
-        column = cli._Nonsingular(values, singular)
-        assert column[block - 1:block + 4] == [None, values[block].item(), None, None, None]
+        singular[2 * block - 1:2 * block + 1] = True
+        column = np.where(singular, math.nan, values)
         expected = "c0,c1\n" + "".join(
             f"{k},{'' if singular[k] or not math.isfinite(values[k]) else '%.17g' % values[k]}\n"
             for k in range(rows))
         assert cli._csv(["c0", "c1"], [range(rows), column]) == expected
-        assert expected.splitlines()[block + 2].endswith(",")
+        lines = expected.splitlines()
+        assert [lines[1 + k].endswith(",") for k in (block - 1, block, block + 1, block + 3)] \
+            == [True, False, True, True]
+        assert lines[2 * block].endswith(",") and lines[2 * block + 1].endswith(",")
+
+    @pytest.mark.parametrize("column, expected", [
+        (np.array([0.1, -2.5, 1e308]), ("%.17g", [0.1, -2.5, 1e308])),
+        (np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.5]),
+         ("%s", ["", "", "", "-0", "4.9406564584124654e-324", "1.5"])),
+        (np.arange(3, dtype=np.int64), ("%d", [0, 1, 2])),
+        ([np.int64(7), np.int32(-1)], ("%d", [np.int64(7), np.int32(-1)])),
+        (range(4, 7), ("%d", range(4, 7))),
+        (np.array([True, False]), ("%s", ["true", "false"])),
+        (cli._Repeated(0.25, 3, 1)[0:3], ("%s", ["", "0.25", "0.25"])),
+        ([None, 2.0, None, math.nan], ("%s", ["", "2", "", ""])),
+        ([None, None], ("%s", ["", ""])),
+    ], ids=["finite-floats", "non-finite-floats", "int-array", "numpy-ints", "range",
+            "bools", "repeated", "floats-and-none", "all-none"])
+    def test_block_format_and_values(self, column, expected):
+        """Each block path: its format and the values ``%`` takes, which
+        give the per-cell reference's cells."""
+        fmt, values = cli._cells(column)
+        assert (fmt, list(values)) == (expected[0], list(expected[1]))
+        assert [fmt % value for value in values] == [self.reference(x) for x in column]
 
     @pytest.mark.parametrize("start", [0, 1])
     def test_repeated_column_blocks_match_the_per_cell_reference(self, start):

@@ -183,15 +183,34 @@ class TestConvergenceStudy:
         sys_ = dm.make_system([[-0.0]], [[100.0]])
         z0 = dm.PhaseState(0.0, [0.0], [-2.0])
         assert 15_000 + 10_240_000 < diagnostics.MAX_STUDY_STEPS
-        with pytest.raises(ValueError, match="costs 205400000 .*MAX_STUDY_STEPS"):
+        with pytest.raises(ValueError, match=r"costs 2\.05e\+08 direct .*MAX_STUDY_STEPS"):
             dm.convergence_study(sys_, z0, 0.001, 2, 10.0, "midpoint_indirect")
+
+    def test_study_cost_grows_with_the_system_size(self, monkeypatch):
+        """3 000 direct ladder steps and a 3.072 million step RK4
+        reference cost 61.4 million scalar direct steps, and are admitted
+        on an overdamped scalar system (it goes on to step); on a 16-DOF
+        system, whose steps cost 46 and 50 each, they cost 154 million and
+        are refused before stepping."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("stepping")
+        monkeypatch.setattr(diagnostics, "propagate", no_stepping)
+        scalar = dm.make_system([[-0.0]], [[100.0]])
+        with pytest.raises(AssertionError, match="stepping"):
+            dm.convergence_study(scalar, dm.PhaseState(0.0, [0.0], [-2.0]), 0.01, 1, 30.0)
+        n = 16
+        wide = dm.make_system(np.eye(n), np.eye(n))
+        with pytest.raises(ValueError, match=r"costs 1\.54e\+08 direct .*MAX_STUDY_STEPS"):
+            dm.convergence_study(wide, dm.PhaseState(0.0, np.ones(n), np.zeros(n)),
+                                 0.01, 1, 30.0)
 
     @pytest.mark.parametrize("method", dm.METHODS)
     def test_a_study_at_the_cost_bound_runs(self, sys_2d, z0_2d, monkeypatch, method):
         """A ladder of 2 + 4 steps and a 2 048-step reference: each step
-        weighs its method's ``STEP_COST``, and the bound admits its own
-        value."""
-        cost = 6 * diagnostics.STEP_COST[method] + 2048 * diagnostics.STEP_COST["rk4"]
+        weighs its method's ``STEP_COST`` at n = 2 (4 direct, 40 indirect,
+        22 RK4), and the bound admits its own value."""
+        weight = {"midpoint_direct": 4, "midpoint_indirect": 40, "rk4": 22}
+        cost = 6 * weight[method] + 2048 * weight["rk4"]
         monkeypatch.setattr(diagnostics, "MAX_STUDY_STEPS", cost - 1)
         with pytest.raises(ValueError, match="MAX_STUDY_STEPS"):
             dm.convergence_study(sys_2d, z0_2d, 0.5, 2, 1.0, method)
