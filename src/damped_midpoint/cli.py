@@ -34,8 +34,8 @@ from .diagnostics import EnergyReport, convergence_study, energy_report, \
     period_estimate
 from .errors import ConfigError, InsufficientOscillationError, IntegrationError, \
     SingularMatrixError
-from .integrators import METHODS, Trajectory, _substituting_pairs, _verify_chunk, \
-    integrate, scheme_factors
+from .integrators import METHODS, Trajectory, integrate, scheme_factors, \
+    substituting_factors
 from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, scaled_verdict, \
     symplectic_form
 from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, total_energy
@@ -159,6 +159,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         else:
             raise ConfigError(f"config file not found: {path}")
     raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, got {raw!r}")
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     raw.update(overrides)
     for key in ("system", "initial", "tau", "n_steps"):
@@ -252,8 +254,11 @@ def _cells(column) -> tuple[str, list]:
     cell rule: a float that is not finite, or a None, is an empty cell. A
     float array block that is all finite passes its floats under
     ``%.17g``, ints (the step) pass under ``%d``; bools (as
-    ``true``/``false``), run constants (a ``str`` column is its own cells)
-    and any block with an empty cell pass as strings under ``%s``."""
+    ``true``/``false``), strings and any block with an empty cell pass as
+    strings under ``%s``. A float in place of a block is a run constant:
+    its cell is the format itself, a literal, and it passes no values."""
+    if isinstance(column, float):
+        return ("%.17g" % column if math.isfinite(column) else ""), []
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f" and np.isfinite(column).all():
             return "%.17g", column.tolist()
@@ -268,16 +273,21 @@ def _cells(column) -> tuple[str, list]:
     return "%s", ["%.17g" % x if x is not None and math.isfinite(x) else "" for x in column]
 
 
-def _csv(header: list[str], columns) -> str:
-    """CSV text of equal-length columns (lists, ``range``s, 1-D arrays or
-    ``_Repeated`` columns) under ``header``. Each block of rows is one
-    ``%`` of the row format repeated once per row over the block's values
-    taken row by row."""
+def _csv(header: list[str], *groups) -> str:
+    """CSV text under ``header`` of each group of rows in turn. A group is
+    a list of equal-length columns (lists, ``range``s or 1-D arrays), one
+    first, and run constants (floats): a constant's cell is formatted once
+    and written into every row format of its group as a literal. Each
+    block of rows is one ``%`` of the row format repeated once per row
+    over the block's values taken row by row."""
     text = ",".join(header) + "\n"
-    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        formats, values = zip(*[_cells(column[lo:lo + _CSV_BLOCK_ROWS]) for column in columns])
-        row = ",".join(formats) + "\n"
-        text += row * len(values[0]) % tuple(chain.from_iterable(zip(*values)))
+    for columns in groups:
+        constants = [_cells(column) if isinstance(column, float) else None for column in columns]
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            formats, values = zip(*[constant or _cells(column[lo:lo + _CSV_BLOCK_ROWS])
+                                    for column, constant in zip(columns, constants)])
+            row = ",".join(formats) + "\n"
+            text += row * len(values[0]) % tuple(chain.from_iterable(zip(*filter(len, values))))
     return text
 
 
@@ -318,43 +328,38 @@ def _write_artifacts(prefix: str, kinds: tuple[str, str], csv_text: str,
 
 
 # --- artifact builders ------------------------------------------------------
-
-class _Repeated:
-    """A CSV column of ``length`` cells, empty before row ``start`` and
-    ``value`` (empty if not finite) from there: a slice is that block's cells."""
-
-    def __init__(self, value, length, start=0):
-        self.cell = "%.17g" % value if np.isfinite(value) else ""
-        self.length, self.start = length, start
-
-    def __getitem__(self, rows):
-        lo, hi, _ = rows.indices(self.length)
-        return [""] * (min(hi, self.start) - lo) + [self.cell] * (hi - max(lo, self.start))
-
+#
+# Each subcommand maps ``(cfg, args)`` to ``(kinds, csv_text, summary)``,
+# the arguments of the one ``_write_artifacts`` call in ``main``.
 
 def trajectory_csv(tr: Trajectory, report: EnergyReport) -> str:
-    """Render a trajectory and its energy report as the canonical run CSV
-    (initial row included)."""
+    """Render a trajectory and its energy report as the canonical run CSV:
+    the initial row, whose defect cells are empty, then the step rows."""
     n = tr.system.n
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"p_{i}" for i in range(n)]
               + ["E", "work_cum", "hhat", "defect_direct", "defect_indirect", "singular"])
-    columns = [range(tr.n_steps + 1), tr.t, *tr.q.T, *tr.p.T,
-               report.energy, report.work_cumulative, report.hhat,
-               _Repeated(tr.defect_direct, tr.n_steps + 1, 1),
-               np.concatenate(([np.nan], tr.defect_indirect)),
-               np.concatenate(([False], tr.singular))]
-    return _csv(header, columns)
+    ledger = report.energy, report.work_cumulative, report.hhat
+    return _csv(header,
+                [range(1), tr.t[:1], *tr.q[:1].T, *tr.p[:1].T, *(a[:1] for a in ledger),
+                 math.nan, math.nan, [False]],
+                [range(1, tr.n_steps + 1), tr.t[1:], *tr.q[1:].T, *tr.p[1:].T,
+                 *(a[1:] for a in ledger), tr.defect_direct, tr.defect_indirect, tr.singular])
 
 
-def _defect_maxima(tr: Trajectory):
+def _defect_indirect_max(tr: Trajectory):
     indirect = tr.defect_indirect[~tr.singular]
-    return tr.defect_direct, (float(indirect.max()) if indirect.size else None)
+    return float(indirect.max()) if indirect.size else None
 
 
-def run_summary(cfg: RunConfig, tr: Trajectory, report: EnergyReport,
-                wall_time: float) -> dict:
-    defect_direct_max, defect_indirect_max = _defect_maxima(tr)
-    return {
+def cmd_run(cfg: RunConfig, args):
+    """Integrate one configuration, for ``<prefix>.trajectory.csv`` and
+    ``<prefix>.summary.json``."""
+    t0 = time.perf_counter()
+    tr = integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, cfg.method,
+                   cfg.epsilon)
+    wall = time.perf_counter() - t0
+    report = energy_report(tr)
+    return ("trajectory", "summary"), trajectory_csv(tr, report), {
         "label": cfg.label,
         "method": tr.method,
         "tau": tr.tau,
@@ -366,23 +371,11 @@ def run_summary(cfg: RunConfig, tr: Trajectory, report: EnergyReport,
         "max_energy_identity_residual": report.max_energy_residual,
         "energy_monotone": report.monotone,
         "singular_steps": report.singular_steps,
-        "defect_direct_max": defect_direct_max,
-        "defect_indirect_max": defect_indirect_max,
+        "defect_direct_max": tr.defect_direct,
+        "defect_indirect_max": _defect_indirect_max(tr),
         "monotone_energy_certified": tr.system.monotone_energy_certified,
-        "wall_time_s": wall_time,
+        "wall_time_s": wall,
     }
-
-
-def cmd_run(cfg: RunConfig, prefix: str) -> int:
-    """Integrate one configuration; write ``<prefix>.trajectory.csv`` and
-    ``<prefix>.summary.json``."""
-    t0 = time.perf_counter()
-    tr = integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, cfg.method,
-                   cfg.epsilon)
-    wall = time.perf_counter() - t0
-    report = energy_report(tr)
-    return _write_artifacts(prefix, ("trajectory", "summary"), trajectory_csv(tr, report),
-                            run_summary(cfg, tr, report, wall))
 
 
 def _period_or_none(tr: Trajectory):
@@ -392,9 +385,9 @@ def _period_or_none(tr: Trajectory):
         return None
 
 
-def cmd_compare(cfg: RunConfig, prefix: str) -> int:
-    """Run every method on one configuration; write a joined CSV keyed by
-    time plus a comparison summary (the config's method field is ignored)."""
+def cmd_compare(cfg: RunConfig, args):
+    """Run every method on one configuration: a joined CSV keyed by time
+    plus a comparison summary (the config's method field is ignored)."""
     t0 = time.perf_counter()
     runs = {
         name: integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, method,
@@ -405,20 +398,17 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
     }
     wall = time.perf_counter() - t0
     n = cfg.system.n
-    header = ["step", "t"]
-    for name in runs:
-        header += [f"{name}_q_{i}" for i in range(n)]
-        header += [f"{name}_p_{i}" for i in range(n)]
-        header += [f"{name}_E", f"{name}_hhat"]
     reports = {name: energy_report(tr) for name, tr in runs.items()}
     steps = np.arange(cfg.n_steps + 1)
-    columns = [steps, cfg.initial.t + steps * cfg.tau]
+    header, columns = ["step", "t"], [steps, cfg.initial.t + steps * cfg.tau]
     for name, tr in runs.items():
+        header += [f"{name}_q_{i}" for i in range(n)] + [f"{name}_p_{i}" for i in range(n)]
+        header += [f"{name}_E", f"{name}_hhat"]
         columns += [*tr.q.T, *tr.p.T, reports[name].energy, reports[name].hhat]
 
     direct_states = np.hstack((runs["direct"].q, runs["direct"].p))
     indirect_states = np.hstack((runs["indirect"].q, runs["indirect"].p))
-    summary = {
+    return ("compare", "compare"), _csv(header, columns), {
         "label": cfg.label,
         "tau": cfg.tau,
         "n_steps": cfg.n_steps,
@@ -431,52 +421,44 @@ def cmd_compare(cfg: RunConfig, prefix: str) -> int:
         "singular_steps": {name: reports[name].singular_steps for name in runs},
         "wall_time_s": wall,
     }
-    return _write_artifacts(prefix, ("compare", "compare"), _csv(header, columns), summary)
 
 
-def cmd_convergence(cfg: RunConfig, prefix: str, tau_max: float, levels: int,
-                    t_final: float) -> int:
-    """Write the step-halving error ladder as CSV plus a JSON echo."""
-    table = convergence_study(cfg.system, cfg.initial, tau_max, levels, t_final,
+def cmd_convergence(cfg: RunConfig, args):
+    """The step-halving error ladder from ``--tau-max`` (the config's tau
+    by default), ``--levels`` and ``--t-final``, as CSV plus a JSON echo."""
+    tau_max = args.tau_max if args.tau_max is not None else cfg.tau
+    table = convergence_study(cfg.system, cfg.initial, tau_max, args.levels, args.t_final,
                               cfg.method, cfg.epsilon)
     columns = [[getattr(row, name) for row in table.rows]
                for name in ("tau", "error", "observed_order")]
-    return _write_artifacts(prefix, ("convergence", "convergence"),
-                            _csv(["tau", "error", "observed_order"], columns), {
+    return ("convergence", "convergence"), _csv(["tau", "error", "observed_order"], columns), {
         "label": cfg.label,
         "method": cfg.method,
         "reference": table.reference,
-        "t_final": t_final,
+        "t_final": args.t_final,
         "rows": [{"tau": r.tau, "error": r.error, "observed_order": r.observed_order}
                  for r in table.rows],
-    })
+    }
 
 
-def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
+def cmd_check_symplectic(cfg: RunConfig, args):
     """Per-step symplectic defects of both transition-matrix families,
     their factor-pair defects, and a verdict line per family. Each family
     is judged by :func:`scaled_verdict`: every defect of a matrix F at
     most ``SYMPLECTIC_TOL · max(1, ‖F‖_F²)``."""
     tr = integrate(cfg.system, cfg.initial, cfg.tau, cfg.n_steps, cfg.method,
                    cfg.epsilon)
-    sys_ = cfg.system
-    form = symplectic_form(sys_.n)
-    m1, n1 = scheme_factors(sys_.K, sys_.C, cfg.tau)
-    factor_direct = factored_symplectic_defect(m1, n1, form)
-    pairs = _substituting_pairs(sys_.K, cfg.tau)
-    nonsingular_steps = np.flatnonzero(~tr.singular)
+    form = symplectic_form(cfg.system.n)
+    factor_direct = factored_symplectic_defect(*scheme_factors(cfg.system.K, cfg.system.C,
+                                                               cfg.tau), form)
     factor_indirect = np.full(tr.n_steps, np.nan)
-    chunk = _verify_chunk(sys_.n)
-    for lo in range(0, len(nonsingular_steps), chunk):
-        k = nonsingular_steps[lo:lo + chunk]
-        factor_indirect[k] = factored_symplectic_defect(*pairs(tr.ktilde[k]), form)
-    columns = [range(1, tr.n_steps + 1), tr.t[1:],
-               _Repeated(tr.defect_direct, tr.n_steps),
-               tr.defect_indirect, _Repeated(factor_direct, tr.n_steps),
-               factor_indirect, tr.singular]
+    for rows, m2, n2 in substituting_factors(tr):
+        factor_indirect[rows] = factored_symplectic_defect(m2, n2, form)
+    columns = [range(1, tr.n_steps + 1), tr.t[1:], tr.defect_direct, tr.defect_indirect,
+               factor_direct, factor_indirect, tr.singular]
 
-    defect_direct_max, defect_indirect_max = _defect_maxima(tr)
-    nonsingular = len(nonsingular_steps)
+    defect_indirect_max = _defect_indirect_max(tr)
+    nonsingular_steps = np.flatnonzero(~tr.singular)
     direct = scaled_verdict([tr.defect_direct], [tr.norm2_direct])
     indirect = scaled_verdict(tr.defect_indirect[nonsingular_steps],
                               tr.norm2_indirect[nonsingular_steps])
@@ -486,11 +468,11 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
              "indirect": {"ratio": indirect[1], "step": None if indirect[2] is None
                           else int(nonsingular_steps[indirect[2]]) + 1}}
     for family, word in verdicts.items():
-        peak = defect_direct_max if family == "direct" else defect_indirect_max
+        peak = tr.defect_direct if family == "direct" else defect_indirect_max
         detail = ("no non-singular steps" if peak is None else f"max defect {peak:.3e}"
                   if np.isfinite(peak) else "a defect is not finite")
         print(f"{family} transition family: {word} ({detail})")
-    return _write_artifacts(prefix, ("symplectic", "symplectic"), _csv(
+    return ("symplectic", "symplectic"), _csv(
         ["step", "t", "defect_direct", "defect_indirect", "factor_defect_direct",
          "factor_defect_indirect", "singular"], columns), {
         "label": cfg.label,
@@ -499,11 +481,15 @@ def cmd_check_symplectic(cfg: RunConfig, prefix: str) -> int:
         "threshold": SYMPLECTIC_TOL,
         "verdict_rule": "defect <= threshold * max(1, ||F||_F^2) at every step",
         "max_scaled_defect": worst,
-        "defect_direct_max": defect_direct_max,
+        "defect_direct_max": tr.defect_direct,
         "defect_indirect_max": defect_indirect_max,
-        "singular_steps": tr.n_steps - nonsingular,
+        "singular_steps": tr.n_steps - len(nonsingular_steps),
         "verdicts": verdicts,
-    })
+    }
+
+
+COMMANDS = {"run": cmd_run, "compare": cmd_compare, "convergence": cmd_convergence,
+            "check-symplectic": cmd_check_symplectic}
 
 
 # --- argument parsing -------------------------------------------------------
@@ -559,14 +545,7 @@ def main(argv=None) -> int:
         prefix = args.out or cfg.output_prefix
         if not prefix:
             raise ConfigError("no output prefix: pass --out or set output_prefix")
-        if args.command == "run":
-            return cmd_run(cfg, prefix)
-        if args.command == "compare":
-            return cmd_compare(cfg, prefix)
-        if args.command == "convergence":
-            tau_max = args.tau_max if args.tau_max is not None else cfg.tau
-            return cmd_convergence(cfg, prefix, tau_max, args.levels, args.t_final)
-        return cmd_check_symplectic(cfg, prefix)
+        return _write_artifacts(prefix, *COMMANDS[args.command](cfg, args))
     except ConfigError as exc:
         sys.stderr.write(_error_object("config", str(exc)))
         return EXIT_CONFIG

@@ -335,6 +335,18 @@ class Trajectory:
         return [PhaseState(t, q, p) for t, q, p in zip(self.t, self.q, self.p)]
 
 
+def substituting_factors(tr: Trajectory):
+    """Yield ``(rows, M, N)`` per verification chunk of ``tr``'s non-singular
+    steps: their indices into the per-step arrays and their stacked
+    substituting factor pairs, each ``scheme_factors(K + diag(K̃), 0, τ)``."""
+    pairs = _substituting_pairs(tr.system.K, tr.tau)
+    steps = np.flatnonzero(~tr.singular)
+    chunk = _verify_chunk(tr.system.n)
+    for lo in range(0, len(steps), chunk):
+        rows = steps[lo:lo + chunk]
+        yield (rows, *pairs(tr.ktilde[rows]))
+
+
 def _check_scheme(method, epsilon):
     """``ValueError`` unless ``method`` is in ``METHODS`` and 0 < ε < inf."""
     if method not in METHODS:
@@ -347,9 +359,9 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
     """Checked arguments and stepper of one run: ``(n_steps, tau, direct,
     step)``, with ``direct`` the direct scheme's ``(factorization, N)``
     and ``step`` the ``_step_kernel`` of ``method``. ``n_steps`` is an
-    int or numpy integer, never truncated, and 0 < τ < inf. A singular
-    direct factor fails the run with :class:`IntegrationError` at step 1,
-    for every method."""
+    int or numpy integer, never truncated, 0 < τ < inf and t₀ + n_steps·τ
+    is finite, so no timestamp overflows. A singular direct factor fails
+    the run with :class:`IntegrationError` at step 1, for every method."""
     if z0.n != sys.n:
         raise DimensionError(f"state dimension {z0.n} does not match system {sys.n}")
     if not 0.0 < tau < np.inf:
@@ -360,6 +372,12 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     _check_scheme(method, epsilon)
     n_steps, tau = int(n_steps), float(tau)
+    try:   # the last timestamp, as integrate and propagate compute it
+        finite = np.isfinite(z0.t + n_steps * tau)
+    except OverflowError:   # an n_steps past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"t0 + n_steps*tau is not finite (t0 = {z0.t!r}, tau = {tau!r})")
     try:
         direct = _midpoint_solver(sys.K, sys.C, tau)
     except SingularMatrixError as exc:

@@ -78,10 +78,11 @@ HOSTILE_CONFIGS = {
 }
 
 
-def write_config(path, K, C, q, p, tau, n_steps, **fields):
+def write_config(path, K, C, q, p, tau, n_steps, t=0.0, **fields):
     """Write a config of these values (NaN and ±inf as JSON's ``NaN`` and
     ``Infinity`` literals) and return its path."""
-    path.write_text(json.dumps({"system": {"K": K, "C": C}, "initial": {"q": q, "p": p},
+    path.write_text(json.dumps({"system": {"K": K, "C": C},
+                                "initial": {"t": t, "q": q, "p": p},
                                 "tau": tau, "n_steps": n_steps, **fields}))
     return path
 
@@ -207,6 +208,16 @@ class TestRun:
         bad.write_text("{not json")
         rc = run_cli(["run", "--config", bad, "--out", tmp_path / "x"])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["null", '"x"', "3", "[1, 2]"])
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = run_cli(["run", "--config", bad, "--out", tmp_path / "x"])
+        assert rc == cli.EXIT_CONFIG
+        error = strict_json(capsys.readouterr().err)["error"]
+        assert error["type"] == "config" and "must be a JSON object" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_undecodable_config_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -338,6 +349,22 @@ class TestRun:
         error = strict_json(capsys.readouterr().err)["error"]
         assert error["type"] == "solver" and "MAX_RUN_BYTES" in error["message"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sub", ["run", "compare", "convergence", "check-symplectic"])
+    def test_time_past_the_float_range_is_refused_before_stepping(self, tmp_path, capsys, sub):
+        """t₀ = τ = 1e308: the timestamps overflow, so every subcommand
+        refuses the run (for convergence, a ladder of one step of τ) with a
+        solver error, no warning and no file."""
+        config = write_config(tmp_path / "late.json", [[1.0]], [[0.0]], [0.0], [0.0], 1e308, 2,
+                              t=1e308)
+        extra = ["--levels", 1, "--t-final", 1e308] if sub == "convergence" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli([sub, "--config", config, "--out", tmp_path / "x", *extra])
+        assert rc == cli.EXIT_SOLVER
+        error = strict_json(capsys.readouterr().err)["error"]
+        assert error["type"] == "solver" and "t0 + n_steps*tau" in error["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.json"]
 
     def test_allocation_failure_is_solver_error(self, tmp_path, capsys, monkeypatch):
         message = "Unable to allocate 5.96 GiB for an array with shape (400000001, 2)"
@@ -497,6 +524,15 @@ class TestParser:
         assert cli._build_parser.cache_info().misses == 1
 
 
+def test_benchmark_span_targets_resolve():
+    """Each name the benchmark's tracer patches (``perfbench/spans.py``)
+    is a callable of its module; a renamed ``cli`` global would fail every
+    traced benchmark run when the tracer looks it up."""
+    from perfbench import spans
+    for module, attr, _, _ in spans.TARGETS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
 class TestWriteAtomic:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -623,8 +659,10 @@ class TestCsv:
     def test_blocks_match_the_per_cell_reference(self):
         """Three blocks, the last one short, of every column kind the
         builders pass, against a reference that formats cell by cell. A
-        float that is not finite is an empty cell in a float array and in
-        a list with Nones; blocks with one and blocks without both occur."""
+        float that is not finite is an empty cell in a float array, in a
+        list with Nones and as a run constant; blocks with one and blocks
+        without both occur. Run constants sit between columns that pass
+        values, which keep their order."""
         block = cli._CSV_BLOCK_ROWS
         rows = 2 * block + 3
         rng = np.random.default_rng(17)
@@ -635,15 +673,17 @@ class TestCsv:
         states[block + 1::5, 1] = np.resize(special, len(states[block + 1::5]))
         nones = [None] * block + [None if k % 3 else float(k) for k in range(rows - block)]
         nones[-1] = math.inf
-        columns = [range(rows), floats, -floats[::-1], states.T[1], rng.random(rows) < 0.5,
-                   nones, ["%.17g" % x for x in rng.standard_normal(rows)],
-                   np.arange(rows) * 3]
+        columns = [range(rows), floats, 0.1, -floats[::-1], states.T[1], math.nan,
+                   rng.random(rows) < 0.5, nones, ["%.17g" % x for x in rng.standard_normal(rows)],
+                   -2.5e-300, np.arange(rows) * 3]
         header = [f"c{k}" for k in range(len(columns))]
         expected = "".join(",".join(line) + "\n" for line in [header] + [
-            [self.reference(column[i]) for column in columns] for i in range(rows)])
+            [self.reference(column if isinstance(column, float) else column[i])
+             for column in columns] for i in range(rows)])
         assert cli._csv(header, columns) == expected
         cells = set(expected.replace("\n", ",").split(","))
-        assert {"-0", "", "4.9406564584124654e-324", "1e+308"} <= cells
+        assert {"-0", "", "4.9406564584124654e-324", "1e+308", "0.10000000000000001",
+                "-2.5e-300"} <= cells
         assert not {"nan", "inf", "-inf"} & cells
         assert [cli._cells(states.T[1][lo:lo + block])[0] for lo in range(0, rows, block)] \
             == ["%.17g", "%s", "%s"]
@@ -682,33 +722,45 @@ class TestCsv:
         ([np.int64(7), np.int32(-1)], ("%d", [np.int64(7), np.int32(-1)])),
         (range(4, 7), ("%d", range(4, 7))),
         (np.array([True, False]), ("%s", ["true", "false"])),
-        (cli._Repeated(0.25, 3, 1)[0:3], ("%s", ["", "0.25", "0.25"])),
+        (0.25, ("0.25", [])),
         ([None, 2.0, None, math.nan], ("%s", ["", "2", "", ""])),
         ([None, None], ("%s", ["", ""])),
     ], ids=["finite-floats", "non-finite-floats", "int-array", "numpy-ints", "range",
             "bools", "repeated", "floats-and-none", "all-none"])
     def test_block_format_and_values(self, column, expected):
         """Each block path: its format and the values ``%`` takes, which
-        give the per-cell reference's cells."""
+        give the per-cell reference's cells. A run constant (a float) is
+        its own cell, a literal format that takes no values."""
         fmt, values = cli._cells(column)
         assert (fmt, list(values)) == (expected[0], list(expected[1]))
-        assert [fmt % value for value in values] == [self.reference(x) for x in column]
+        if isinstance(column, float):
+            assert fmt == self.reference(column)
+        else:
+            assert [fmt % value for value in values] == [self.reference(x) for x in column]
 
     @pytest.mark.parametrize("start", [0, 1])
-    def test_repeated_column_blocks_match_the_per_cell_reference(self, start):
-        """A run-constant column, its first ``start`` cells empty (the
-        initial row of ``run``), rendered a block at a time down to a
-        short last block; a constant that is not finite is empty."""
+    def test_repeated_column_blocks_match_the_per_cell_reference(self, monkeypatch, start):
+        """A run constant rendered a block at a time down to a short last
+        block. With ``start`` = 1 it is empty on row 0 only: row 0 is a
+        one-row group of its own whose constant is NaN, as ``run``
+        renders its initial row. A constant that is not finite is empty.
+        Each constant is formatted once per group, not once per block."""
         block = cli._CSV_BLOCK_ROWS
         rows = 2 * block + 5
-        for bad in (math.nan, math.inf, -math.inf):
-            assert cli._Repeated(bad, rows, start)[:] == [""] * rows
-        column = cli._Repeated(0.125, rows, start)
-        reference = [""] * start + ["0.125"] * (rows - start)
-        for lo in range(0, rows, block):
-            assert column[lo:lo + block] == reference[lo:lo + block]
-        expected = "c0,c1\n" + "".join(f"{k},{reference[k]}\n" for k in range(rows))
-        assert cli._csv(["c0", "c1"], [range(rows), column]) == expected
+        cells, constants = cli._cells, []
+
+        def counting(column):
+            if isinstance(column, float):
+                constants.append(column)
+            return cells(column)
+        monkeypatch.setattr(cli, "_cells", counting)
+        for value, cell in ((0.125, "0.125"), (math.nan, ""), (math.inf, ""), (-math.inf, "")):
+            constants.clear()
+            groups = [[range(start), math.nan]] * start + [[range(start, rows), value]]
+            text = cli._csv(["c0", "c1"], *groups)
+            assert len(constants) == len(groups)
+            reference = [""] * start + [cell] * (rows - start)
+            assert text == "c0,c1\n" + "".join(f"{k},{reference[k]}\n" for k in range(rows))
 
 
 class TestMemory:
@@ -1039,8 +1091,8 @@ _REJECTED = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]
 def _fuzz_configs(draw):
     """A config as JSON-ready Python values (NaN and ±inf become the
     ``NaN`` and ``Infinity`` literals): n <= 3, K symmetric, τ a power of
-    ten or an ordinary step. One config in four may hold rejected values
-    anywhere."""
+    ten or an ordinary step, t₀ any number. One config in four may hold
+    rejected values anywhere."""
     n = draw(st.integers(1, 3))
     number = st.one_of(*[_FINITE] * 5, _REJECTED) if draw(st.integers(0, 3)) == 0 \
         else _FINITE
@@ -1056,7 +1108,7 @@ def _fuzz_configs(draw):
     C = [values(n) for _ in range(n)]
     tau = draw(st.one_of(st.builds(abs, _SIGNED_POWER), st.floats(1e-3, 2.0), number))
     return (K, C, values(n), values(n), tau,
-            draw(st.sampled_from(integrators.METHODS)))
+            draw(st.sampled_from(integrators.METHODS)), draw(number))
 
 
 def _horizon(tau):
@@ -1071,17 +1123,18 @@ def _cell_ok(cell):
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(_fuzz_configs(), st.integers(1, 6))
-@example((*HOSTILE_CONFIGS["scheme-factors"], "midpoint_direct"), 5)
-@example((*HOSTILE_CONFIGS["factor-defect"], "midpoint_direct"), 5)
-@example((*HOSTILE_CONFIGS["ktilde-sum"], "midpoint_direct"), 5)
+@example((*HOSTILE_CONFIGS["scheme-factors"], "midpoint_direct", 0.0), 5)
+@example((*HOSTILE_CONFIGS["factor-defect"], "midpoint_direct", 0.0), 5)
+@example((*HOSTILE_CONFIGS["ktilde-sum"], "midpoint_direct", 0.0), 5)
+@example(([[1.0]], [[0.0]], [0.0], [0.0], 1e308, "midpoint_direct", 1e308), 2)
 def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps):
     """Every subcommand on a drawn config exits 0, 2, 3 or 4 with no
     exception and no warning; every JSON it writes (artifacts, or the
     error object on stderr) is strict, and every CSV cell of a run that
     exits 0 is finite or empty. The convergence ladder is one step of τ."""
-    K, C, q, p, tau, method = config
+    K, C, q, p, tau, method, t = config
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(pathlib.Path(tmp, "fuzz.json"), K, C, q, p, tau, steps,
+        path = write_config(pathlib.Path(tmp, "fuzz.json"), K, C, q, p, tau, steps, t,
                             method=method)
         for sub in ("run", "compare", "convergence", "check-symplectic"):
             prefix = os.path.join(tmp, sub)

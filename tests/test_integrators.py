@@ -261,6 +261,39 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             run(sys_1d, z0_1d, 0.2, n_steps)
 
+    def test_substituting_factors_are_the_pairs_of_the_non_singular_steps(self, sys_2d, z0_2d):
+        """In order, chunks of at most ``_verify_chunk(n)`` steps that cover
+        exactly the non-singular ones (ε = 0.3 makes 14 of 702 singular),
+        each pair ``scheme_factors(K + diag(K̃), 0, τ)`` of its step bit for bit."""
+        chunk = integrators._verify_chunk(2)
+        tr = dm.integrate(sys_2d, z0_2d, 0.2, chunk + 20, "midpoint_direct", 0.3)
+        seen = []
+        for rows, m, nn in integrators.substituting_factors(tr):
+            assert 0 < len(rows) <= chunk and m.shape == nn.shape == (len(rows), 4, 4)
+            for k, mk, nk in zip(rows, m, nn):
+                pair = dm.scheme_factors(sys_2d.K + np.diag(tr.ktilde[k]), np.zeros((2, 2)), 0.2)
+                assert np.array_equal(mk, pair[0]) and np.array_equal(nk, pair[1])
+            seen += rows.tolist()
+        assert seen == np.flatnonzero(~tr.singular).tolist()
+        assert len(seen) > chunk and tr.singular.any()
+
+    @pytest.mark.parametrize("run", [dm.integrate, dm.propagate])
+    @pytest.mark.parametrize("t0, tau, n_steps", [(1e308, 1e308, 2), (-1e308, 9e307, 2),
+                                                  (0.0, 1.0, 10 ** 400)])
+    def test_refuses_a_last_time_past_the_float_range(self, sys_1d, monkeypatch, run, t0,
+                                                      tau, n_steps):
+        """t₀ + n_steps·τ past the float range, or a step count that no
+        float holds, is refused before the scheme is factored and with no
+        warning; at t₀ = -1e308, 2τ = 1.8e308 overflows though t₀ + 2τ
+        would not, as the timestamps are t₀ + k·τ."""
+        def unreached(*args):
+            raise AssertionError("the run was not refused before its factor")
+        monkeypatch.setattr(integrators, "_midpoint_solver", unreached)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"t0 \+ n_steps\*tau is not finite"):
+                run(sys_1d, dm.PhaseState(t0, [0.0], [0.0]), tau, n_steps)
+
     @pytest.mark.parametrize("dims, per_step", [("1d", 8 * 9 + 1), ("2d", 8 * 12 + 2)])
     def test_refuses_a_run_whose_arrays_pass_the_byte_bound(
             self, request, monkeypatch, dims, per_step):
