@@ -157,8 +157,9 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
     ``@`` and the same bits for every 2n×2n matrix-vector product tried,
     with signed zeros, infinities, NaN, 1e-300 and 3e300 entries, under
     the SkylakeX, Haswell and Sandybridge OpenBLAS kernels; the two differ
-    only for one-element products, and 2n ≥ 2. Each substituting factor
-    serves one solve, unprepared (``linalg.lu_solve``). ``ks`` is
+    only for one-element products, and 2n ≥ 2. The substituting system
+    steps the same way, ``linalg.lu_solver(factorization, N)(z, out)``
+    with its own pair, prepared for its one solve. ``ks`` is
     ``(diag, valid, substitute)``: the step's equivalent stiffness as
     float lists and, when every component is valid, the substituting
     scheme's ``(factorization, N)`` pair it stepped with (else None, and
@@ -178,7 +179,7 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
             return diag, valid, None
         m2, n2 = pairs(diag)
         lu2 = linalg.lu_factor(m2)
-        out[:] = linalg.lu_solve(lu2, n2 @ z)
+        linalg.lu_solver(lu2, n2)(z, out)
         return diag, valid, (lu2, n2)
     return step
 
@@ -439,7 +440,6 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
         for lo in range(1, n_steps + 1, chunk):
             hi = min(lo + chunk, n_steps + 1)
             pending = []
-            failure = None
             # Overflow past a blow-up is reported below as a non-finite state.
             with np.errstate(over="ignore", invalid="ignore"):
                 try:

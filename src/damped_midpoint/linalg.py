@@ -14,10 +14,13 @@ length 2 or more rounds by the CPU's kernel (a fused multiply-add chain
 on some, multiply then add on others), and Python has no fused
 multiply-add before 3.13, so every such dot stays in numpy.
 
-The time-centered scheme's factors [[I, D], [A, I]] are factored through
-their Schur block (:func:`_scheme_half`) and solved without the rows
-their structure makes known (:func:`_substitute`), bit for bit the full
-loops.
+Two loops substitute. One vector runs :func:`lu_solver`: on the four
+factor floats at m = 2, else :func:`_row_solver`'s prepared row loop.
+Everything else, a matrix right-hand side or a stack of either, runs
+:func:`_substitute`, one product per row over the whole stack. The
+time-centered scheme's factors [[I, D], [A, I]] are factored through
+their Schur block (:func:`_scheme_half`) and solved by both loops without
+the rows their structure makes known, bit for bit the full loops.
 """
 
 from __future__ import annotations
@@ -252,13 +255,12 @@ def lu_solve(factorization, b) -> np.ndarray:
     """Solve A·x = b given ``lu_factor`` output; ``b`` may be a vector or matrix.
 
     For a stacked factorization ``b`` holds one right-hand side per
-    matrix, (N, m) or (N, m, r). Substitution runs row by row over the
-    whole stack; each row product is one dot (vector) or vector-matrix
-    product (matrix) per item, the same kernel a single solve calls. One
-    matrix with one vector is :func:`lu_solver`'s solve, its row loop run
-    once without preparing above m = 2. Factorizations whose first n rows are
-    [I | diag(D)] (see :func:`_substitute`) skip the rows known in
-    advance, all items of a stack or none.
+    matrix, (N, m) or (N, m, r). One vector is :func:`lu_solver`'s solve.
+    Everything else runs :func:`_substitute`'s row loop over the whole
+    stack, a stack of vectors as (N, m, 1) columns; each row product is
+    one vector-matrix product per item, the same kernel a single solve
+    calls. Factorizations whose first n rows are [I | diag(D)] skip the
+    rows known in advance, all items of a stack or none.
     """
     lu, perm = factorization
     b = np.asarray(b, dtype=float)
@@ -266,45 +268,41 @@ def lu_solve(factorization, b) -> np.ndarray:
         raise DimensionError(
             f"right-hand side has shape {b.shape}, factorization has {lu.shape}")
     if b.ndim == 1:
-        if len(perm) < 3 or lu.shape != (len(perm),) * 2:   # lu_solver rejects a bad shape
-            return lu_solver(factorization)(b)
-        return _solve_once(lu, perm, b, _unit_rows(lu))
+        return lu_solver(factorization)(b)
+    vectors = b.ndim < lu.ndim
+    if vectors:
+        b = b[..., None]
     half = _unit_rows(lu)
     x = _substitute(lu, perm, b, half)
     if half and not np.isfinite(x).all():
         x = _substitute(lu, perm, b, 0)
-    return x
+    return x[..., 0] if vectors else x
 
 
 def _substitute(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
-    """``lu_solve``'s row loop for stacks and matrix right-hand sides.
+    """``lu_solve``'s row loop for matrix right-hand sides: (m, r) for one
+    factorization, (N, m, r) for a stack.
 
     With ``half`` = n, every factorization's rows 0..n-1 are [I | diag(D)]
     (:func:`_unit_rows`), as a scheme factor's are: forward rows 1..n-1
     are dots of +0.0 rows, which leave x as it is, and back rows n-1..0
     each hold one nonzero product over a unit pivot, 0.0 + d·x[n + k], so
     all n are one elementwise update. For finite x these are the bits of
-    every product the loop calls (``ndarray.dot``, ``@`` and stacked
-    ``np.matmul``) under the SkylakeX, Haswell and Sandybridge OpenBLAS
-    kernels, which the tests check on each. A skipped dot with an
-    infinite x would be NaN, not ±0, so the caller reruns with ``half`` =
-    0 when x is not finite.
+    every product the substitution loops call (``ndarray.dot``, ``@`` and
+    stacked ``np.matmul``) under the SkylakeX, Haswell and Sandybridge
+    OpenBLAS kernels, which the tests check on each. A skipped dot with
+    an infinite x would be NaN, not ±0, so the caller reruns with
+    ``half`` = 0 when x is not finite.
     """
     m = lu.shape[-1]
     x = b[perm] if perm.ndim == 1 else b[np.arange(len(perm))[:, None], perm]
     # ``rows[k]`` is row k of every item with the item axis last: an (r,)
-    # row for one matrix, an (N,) or (r, N) array for a stack.
-    if b.ndim < lu.ndim:
-        rows = x.T
-
-        def product(k, lo, hi):
-            return rowdot(lu[..., k, lo:hi], x[..., lo:hi])
-    else:
-        rows = x.T.swapaxes(0, 1)
-
-        def product(k, lo, hi):
-            return np.matmul(lu[..., k, None, lo:hi], x[..., lo:hi, :])[..., 0, :].T
+    # row for one matrix, an (r, N) array for a stack.
+    rows = x.T.swapaxes(0, 1)
     diag = lu.T
+
+    def product(k, lo, hi):
+        return np.matmul(lu[..., k, None, lo:hi], x[..., lo:hi, :])[..., 0, :].T
     for k in range(max(half, 1), m):
         rows[k] -= product(k, 0, k)
     for k in range(m - 1, half - 1, -1):
@@ -312,33 +310,13 @@ def _substitute(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
         rows[k] /= diag[k, k]
     if half:
         d = diag[half + np.arange(half), np.arange(half)]
-        rows[:half] -= 0.0 + (d if b.ndim < lu.ndim else d[:, None]) * rows[half:]
-    return x
-
-
-def _solve_once(lu: np.ndarray, perm: np.ndarray, b: np.ndarray, half: int):
-    """``lu_solve`` of one vector b, m ≥ 3: :func:`_row_solver`'s loop run once
-    unprepared, skip of ``half`` rows and rerun included (cheaper for one b only)."""
-    m, pivots, x = len(perm), np.diagonal(lu).tolist(), b[perm]
-    if not half:
-        x[1] -= 0.0 + lu.item(1, 0) * x.item(0)
-    for k in range(max(half, 2), m):
-        x[k] -= lu[k, :k].dot(x[:k])
-    x[-1] /= pivots[-1]
-    x[-2] = (x[-2] - (0.0 + lu.item(-2, -1) * x.item(-1))) / pivots[-2]
-    for k in range(m - 3, half - 1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :].dot(x[k + 1 :])) / pivots[k]
-    if half:
-        x[:half] -= 0.0 + np.diagonal(lu[:half, half:]) * x[half:]
-        if np.zeros(m).dot(x):
-            return _solve_once(lu, perm, b, 0)
+        rows[:half] -= 0.0 + d[:, None] * rows[half:]
     return x
 
 
 def lu_solver(factorization, left=None):
     """``lu_solve`` of one (m, m) factorization, prepared once for many
-    float vectors b of length m (``lu_solve`` of one b skips preparing):
-    ``lu_solver(f)(b)`` is ``lu_solve(f, b)``.
+    float vectors b of length m: ``lu_solve(f, b)`` is ``lu_solver(f)(b)``.
     ``lu_solver(f)(b, out)`` writes that x into ``out``, a float64 array
     of shape (m,) that may be b, and returns it; nothing else is written.
     With a left factor N, ``lu_solver(f, N)(z, out)`` is

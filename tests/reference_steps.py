@@ -5,8 +5,10 @@ test that compares ``integrate`` or ``propagate`` with it bit for bit
 checks the kernel against an independent assembly of the same scheme:
 
 - the midpoint schemes solve M·z' = N·z with ``scheme_factors``,
-  ``lu_factor`` and ``lu_solve``, the substituting scheme with stiffness
-  K + diag(K̃) and zero damping;
+  ``lu_factor`` and ``lu_solve`` of N·z as one column, which runs the
+  stack loop (``linalg._substitute``) where the kernel runs the
+  one-vector loop; the substituting scheme with stiffness K + diag(K̃)
+  and zero damping;
 - K̃ comes from ``system._equivalent_stiffness_arrays``, the package's one
   implementation of its formula;
 - RK4 writes its four stages out as arrays, in the order of the
@@ -21,7 +23,7 @@ from damped_midpoint.system import _equivalent_stiffness_arrays
 
 def midpoint_solve(K, C, tau, z):
     m, nn = dm.scheme_factors(K, C, tau)
-    return dm.lu_solve(dm.lu_factor(m), nn @ z)
+    return dm.lu_solve(dm.lu_factor(m), (nn @ z)[:, None])[:, 0]
 
 
 def rk4(K, C, tau, z):

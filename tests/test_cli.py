@@ -826,6 +826,16 @@ class TestCompare:
             integrate(cfg.system, cfg.initial, cfg.tau, 100, method, cfg.epsilon)
         assert counts == {"defect": 6, "norm": 6, "stacked solve": 3, "stacked factor": 4}
 
+    def test_time_axis_is_the_runs(self, tmp_path):
+        """``compare``'s t column is its runs' own, so it starts at t₀ bit
+        for bit as ``run``'s does, a -0.0 included."""
+        config = write_config(tmp_path / "negzero.json", [[2.0]], [[0.05]], [0.1], [0.2],
+                              0.2, 3, t=-0.0)
+        for sub, kind in (("run", "trajectory"), ("compare", "compare")):
+            assert run_cli([sub, "--config", config, "--out", tmp_path / sub]) == 0
+            rows = (tmp_path / f"{sub}.{kind}.csv").read_text().splitlines()
+            assert rows[1].startswith("0,-0,") and rows[2].startswith("1,0.20000000000000001,")
+
     def test_paper_2d_equivalence_recorded(self, tmp_path):
         prefix = tmp_path / "cmp"
         assert run_cli(["compare", "--config", "paper_2d", "--out", prefix,

@@ -232,23 +232,24 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         return row_loop(lu, threshold)
     monkeypatch.setattr(linalg, "_lu_rows", counted_row_loop)
     halves = []
-    row_solver, solve_once, substitute = linalg._row_solver, linalg._solve_once, \
-        linalg._substitute
+    row_solver, substitute = linalg._row_solver, linalg._substitute
 
     def counted_row_solver(lu, perm, half=0, left=None):
         halves.append(half)
         return row_solver(lu, perm, half, left)
 
-    def counted_solve_once(lu, perm, b, half):
-        halves.append(half)
-        return solve_once(lu, perm, b, half)
-
     def counted_substitute(lu, perm, b, half):
         halves.append(half)
         return substitute(lu, perm, b, half)
     monkeypatch.setattr(linalg, "_row_solver", counted_row_solver)
-    monkeypatch.setattr(linalg, "_solve_once", counted_solve_once)
     monkeypatch.setattr(linalg, "_substitute", counted_substitute)
+    # Without defects, a run's only solves are the probe, prepared once on
+    # the direct factor, and each non-singular step's substituting solve.
+    # Each skips the first n rows exactly when its matrix was factored
+    # through the Schur block.
+    again = dm.integrate(sys_, z0, 0.2, 80, "midpoint_indirect", 1e-8, defects=False)
+    assert again.q.tobytes() == tr.q.tobytes() and again.p.tobytes() == tr.p.tobytes()
+    assert halves == [n if np.abs(m[n:, :n]).max() <= 1.0 else 0 for m in matrices]
     rhs = np.concatenate((z0.q, z0.p))
     schur = 0
     for m in matrices:
@@ -262,13 +263,13 @@ def test_scheme_matrices_factor_through_the_schur_block(monkeypatch):
         assert perm.tobytes() == stacked[1][0].tobytes()
         # The solves of a Schur-factored matrix skip its first n rows:
         # one vector, a matrix and the prepared solve of the direct steps.
-        # The others run every row. All give the full loop's bits.
+        # The others run every row. All give the full loops' bits.
         halves.clear()
         x, f = lu_solve((lu, perm), rhs), lu_solve((lu, perm), m)
         prepared = lu_solver((lu, perm))(rhs)
         assert halves == ([n, n, n] if qualifies else [0, 0, 0])
-        assert x.tobytes() == prepared.tobytes() == solve_once(lu, perm, rhs, 0).tobytes()
-        assert x.tobytes() == row_solver(lu, perm)(rhs).tobytes()
+        assert x.tobytes() == prepared.tobytes() == row_solver(lu, perm)(rhs).tobytes()
+        assert x.tobytes() == substitute(lu, perm, rhs[:, None], 0)[:, 0].tobytes()
         assert f.tobytes() == substitute(lu, perm, m, 0).tobytes()
     assert schur >= 70 and len(matrices) - schur >= 1
 

@@ -504,7 +504,7 @@ def test_structured_solve_is_the_full_row_loop(case):
     without its known rows, bit for bit the full row loop, by the prepared
     one-vector solver (called three times, with b and the factorization
     read-only), for a matrix right-hand side, and for stacked vectors and
-    matrices. A stack with one item off that shape runs the full loop
+    matrices. The one-vector loop gives the stack loop's bits. A stack with one item off that shape runs the full loop
     for all. A solution that is not finite, also one of a finite
     right-hand side, is solved again by the full loop."""
     factors, rhs = case
@@ -523,12 +523,16 @@ def test_structured_solve_is_the_full_row_loop(case):
                 for _ in range(3):
                     assert solve(column).tobytes() == expected
                 assert dm.lu_solve((lu, perm), column).tobytes() == expected
+                assert linalg._substitute(lu, perm, column[:, None], 0)[:, 0].tobytes() == \
+                    expected
             assert dm.lu_solve((lu, perm), m).tobytes() == \
                 linalg._substitute(lu, perm, m, 0).tobytes()
         for items in ([0, 1, 2], [0, 3, 1]):   # all on the shape; one off it
             lus = np.array([factors[i][0] for i in items])
             perms = np.array([factors[i][1] for i in items])
             assert linalg._unit_rows(lus) == (n if 3 not in items else 0)
-            for b in (np.ascontiguousarray(vectors[items, :, 0]), matrices[items]):
-                assert dm.lu_solve((lus, perms), b).tobytes() == \
-                    linalg._substitute(lus, perms, b, 0).tobytes()
+            b = np.ascontiguousarray(vectors[items, :, 0])
+            assert dm.lu_solve((lus, perms), b).tobytes() == \
+                linalg._substitute(lus, perms, b[..., None], 0)[..., 0].tobytes()
+            assert dm.lu_solve((lus, perms), matrices[items]).tobytes() == \
+                linalg._substitute(lus, perms, matrices[items], 0).tobytes()
