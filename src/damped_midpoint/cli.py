@@ -182,10 +182,12 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if "horizon" in raw:
         horizon = _number(raw, "horizon")
         tol = 8.0 * np.finfo(float).eps * max(1.0, abs(horizon))
-        if abs(tau * n_steps - horizon) > tol:
-            raise ConfigError(
-                f"tau*n_steps = {tau * n_steps!r} does not match horizon {horizon!r}"
-            )
+        try:
+            span = tau * n_steps
+        except OverflowError:   # an n_steps beyond the float range
+            span = np.inf
+        if abs(span - horizon) > tol:
+            raise ConfigError(f"tau*n_steps = {span!r} does not match horizon {horizon!r}")
     method = _text(raw, "method", "midpoint_direct")
     output_prefix = _text(raw, "output_prefix")
     label = _text(raw, "label", path.stem)
@@ -254,8 +256,8 @@ def _cells(column) -> tuple[str, list]:
     cell rule: a float that is not finite, or a None, is an empty cell. A
     float array block that is all finite passes its floats under
     ``%.17g``, ints (the step) pass under ``%d``; bools (as
-    ``true``/``false``), strings and any block with an empty cell pass as
-    strings under ``%s``. A float in place of a block is a run constant:
+    ``true``/``false``) and any block with an empty cell pass as strings
+    under ``%s``. A float in place of a block is a run constant:
     its cell is the format itself, a literal, and it passes no values."""
     if isinstance(column, float):
         return ("%.17g" % column if math.isfinite(column) else ""), []
@@ -264,8 +266,6 @@ def _cells(column) -> tuple[str, list]:
             return "%.17g", column.tolist()
         column = column.tolist()
     kind = next((x for x in column if x is not None), None)
-    if isinstance(kind, str):
-        return "%s", column
     if isinstance(kind, bool):
         return "%s", ["true" if x else "false" for x in column]
     if isinstance(kind, (int, np.integer)):

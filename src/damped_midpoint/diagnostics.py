@@ -99,6 +99,11 @@ MAX_STUDY_STEPS = 10 ** 8
 STEP_COST = {"midpoint_direct": (1, 3), "midpoint_indirect": (20, 20), "rk4": (20, 2)}
 
 
+#: How far RK4's |R(hλ)| may pass max(1, |e^{hλ}|): rounding reads 1 + 2.2e-16 on undamped
+#: modes, and over the 5·10⁶ RK4 steps MAX_STUDY_STEPS admits this grows a mode < 5e-6.
+RK4_SLACK = 1e-12
+
+
 def _step_cost(method: str, n: int) -> int:
     """One step's ``STEP_COST`` on an n-DOF system."""
     first, per_dof = STEP_COST[method]
@@ -144,7 +149,8 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     method or ε, a ``levels`` that is not an int or numpy integer (never
     truncated), or a study whose ladder and reference steps, weighted by
     ``STEP_COST`` at their method and n, add up to more than
-    ``MAX_STUDY_STEPS``, raises ``ValueError`` before any stepping.
+    ``MAX_STUDY_STEPS``, raises ``ValueError`` before any stepping, and so do a
+    failed eigen-solve and an RK4 reference that amplifies a mode (``RK4_SLACK``).
     """
     _check_scheme(method, epsilon)
     if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
@@ -182,6 +188,20 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     if cost > MAX_STUDY_STEPS:
         raise ValueError(f"the study costs {cost:.3g} direct midpoint steps (STEP_COST), "
                          f"more than MAX_STUDY_STEPS = {MAX_STUDY_STEPS}")
+    modes = None if closed_form else np.linalg.eigvals(
+        np.block([[0.0 * sys.K, np.eye(sys.n)], [-sys.K, -sys.C]]))
+
+    def gain(h):   # max over λ of |R(hλ)| / max(1, |e^{hλ}|), R RK4's stability polynomial
+        with np.errstate(all="ignore"):
+            return np.max(np.abs(np.polyval([1 / 24, 1 / 6, 0.5, 1.0, 1.0], h * modes))
+                          / np.maximum(1.0, np.exp(h * modes.real)))
+    if not closed_form and not gain(tau_ref) <= 1.0 + RK4_SLACK:   # also where it is NaN
+        ok, bad = 0.0, tau_max
+        for _ in range(60):   # bisected for the largest tau_max that passes
+            ok, bad = (m, bad) if gain((m := (ok + bad) / 2) / 1024) <= 1 + RK4_SLACK else (ok, m)
+        raise ValueError(f"the RK4 reference at h = {tau_ref!r} amplifies a mode: |R(h*lambda)| / "
+                         f"max(1, |exp(h*lambda)|) = {gain(tau_ref):.6g} > 1 + {RK4_SLACK:g}; "
+                         f"the largest tau_max that passes is about {ok:.6g}")
     if closed_form:
         q_ref, p_ref = analytic_1d(k, c, float(z0.q[0]), float(z0.p[0]), t_final)
         ref = np.array([q_ref, p_ref])

@@ -114,12 +114,6 @@ def _substituting_pairs(K, tau: float):
     return pairs
 
 
-def _midpoint_solver(K, C, tau):
-    """Pre-factored solver for repeated steps of one midpoint scheme."""
-    m, nn = scheme_factors(K, C, tau)
-    return linalg.lu_factor(m), nn
-
-
 def _rk4(K, C, tau):
     """RK4's step z ↦ z' on z = (q, p): stages z + h·k, h = τ/2, τ/2,
     τ, each k the slope (p, -K·q - C·p) of the one before, then z + (τ/6)·
@@ -207,8 +201,8 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
     if not 0.0 < tau < np.inf:
         raise ValueError(f"step size must be positive and finite, got {tau}")
     form = symplectic_form(sys.n)
-    lu, nn = _midpoint_solver(sys.K, sys.C, float(tau))
-    direct = linalg.lu_solve(lu, nn)
+    m, nn = scheme_factors(sys.K, sys.C, float(tau))
+    direct = linalg.lu_solve(linalg.lu_factor(m), nn)
     defect_direct = symplectic_defect(direct, form)
     if ks is None:
         return TransitionPair(direct, defect_direct, None, None)
@@ -379,8 +373,9 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
         finite = False
     if not finite:
         raise ValueError(f"t0 + n_steps*tau is not finite (t0 = {z0.t!r}, tau = {tau!r})")
+    m, nn = scheme_factors(sys.K, sys.C, tau)
     try:
-        direct = _midpoint_solver(sys.K, sys.C, tau)
+        direct = linalg.lu_factor(m), nn
     except SingularMatrixError as exc:
         raise IntegrationError(1, str(exc)) from exc
     return n_steps, tau, direct, _step_kernel(sys.K, sys.C, tau, method,
@@ -436,49 +431,47 @@ def integrate(sys: DampedLinearSystem, z0: PhaseState, tau: float, n_steps: int,
     chunk = _verify_chunk(n)
     failure = None
     zk = z[0]
-    try:
-        for lo in range(1, n_steps + 1, chunk):
-            hi = min(lo + chunk, n_steps + 1)
-            pending = []
-            # Overflow past a blow-up is reported below as a non-finite state.
-            with np.errstate(over="ignore", invalid="ignore"):
+    for lo in range(1, n_steps + 1, chunk):
+        hi = min(lo + chunk, n_steps + 1)
+        pending = []
+        # Overflow past a blow-up is reported below as a non-finite state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for k in range(lo, hi):
+                    ks = step(zk, zk := z[k])
+                    if method == "midpoint_indirect":
+                        ktilde[k - 1], valid[k - 1], substitute = ks
+                        if substitute is not None and defects:
+                            pending.append((k, *substitute[0], substitute[1]))
+            except SingularMatrixError as exc:
+                hi, failure = k, IntegrationError(k, str(exc))
+        finite = np.isfinite(z[lo:hi]).all(axis=1)
+        if not finite.all():
+            hi = lo + int(np.argmin(finite))
+            failure = IntegrationError(hi, "state is not finite")
+        if method == "midpoint_indirect":
+            pending = [entry for entry in pending if entry[0] < hi]
+            steps = np.array([entry[0] for entry in pending], dtype=int)
+            if pending:
+                _, lus, perms, rhs = (np.array(part) for part in zip(*pending))
+                factorization = (lus, perms)
+        else:
+            ktilde[lo - 1:hi - 1], valid[lo - 1:hi - 1] = _equivalent_stiffness_arrays(
+                C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, float(epsilon))
+            steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
+            if steps.size:
+                m2, rhs = pairs(ktilde[steps - 1])
                 try:
-                    for k in range(lo, hi):
-                        ks = step(zk, zk := z[k])
-                        if method == "midpoint_indirect":
-                            ktilde[k - 1], valid[k - 1], substitute = ks
-                            if substitute is not None and defects:
-                                pending.append((k, *substitute[0], substitute[1]))
+                    factorization = linalg.lu_factor(m2)
                 except SingularMatrixError as exc:
-                    hi, failure = k, IntegrationError(k, str(exc))
-            finite = np.isfinite(z[lo:hi]).all(axis=1)
-            if not finite.all():
-                hi = lo + int(np.argmin(finite))
-                failure = IntegrationError(hi, "state is not finite")
-            if method == "midpoint_indirect":
-                pending = [entry for entry in pending if entry[0] < hi]
-                steps = np.array([entry[0] for entry in pending], dtype=int)
-                if pending:
-                    _, lus, perms, rhs = (np.array(part) for part in zip(*pending))
-                    factorization = (lus, perms)
-            else:
-                ktilde[lo - 1:hi - 1], valid[lo - 1:hi - 1] = _equivalent_stiffness_arrays(
-                    C, z[lo - 1:hi - 1, :n], z[lo:hi, :n], tau, float(epsilon))
-                steps = lo + np.flatnonzero(valid[lo - 1:hi - 1].all(axis=1))
-                if steps.size:
-                    m2, rhs = pairs(ktilde[steps - 1])
-                    try:
-                        factorization = linalg.lu_factor(m2)
-                    except SingularMatrixError as exc:
-                        raise IntegrationError(int(steps[exc.index]), str(exc)) from exc
-            if steps.size and defects:
-                f = linalg.lu_solve(factorization, rhs)
-                defect_indirect[steps - 1] = symplectic_defect(f, form)
-                norm2_indirect[steps - 1] = frobenius_squared(f)
-            if failure is not None:
-                raise failure
-    except IntegrationError as exc:
-        failure = exc
+                    failure = IntegrationError(int(steps[exc.index]), str(exc))
+                    break
+        if steps.size and defects:
+            f = linalg.lu_solve(factorization, rhs)
+            defect_indirect[steps - 1] = symplectic_defect(f, form)
+            norm2_indirect[steps - 1] = frobenius_squared(f)
+        if failure is not None:
+            break
     # The states before a failing step are finite; a ledger that overflows
     # among them fails first, at its own step, whatever the run's length.
     end = n_steps + 1 if failure is None else failure.step_index

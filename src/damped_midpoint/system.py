@@ -139,11 +139,6 @@ class EquivalentStiffness:
         return bool(self.valid.all())
 
 
-def _check_state(sys: DampedLinearSystem, s: PhaseState):
-    if s.n != sys.n:
-        raise DimensionError(f"state dimension {s.n} does not match system {sys.n}")
-
-
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A·x for one vector or for each row of a stack, one BLAS product per row."""
     return np.matmul(A, x[..., None])[..., 0]
@@ -160,7 +155,8 @@ def quadratic_energy(K: np.ndarray, q: np.ndarray, p: np.ndarray):
 
 def total_energy(sys: DampedLinearSystem, s: PhaseState) -> float:
     """Total mechanical energy ½ pᵀp + ½ qᵀKq of a state."""
-    _check_state(sys, s)
+    if s.n != sys.n:
+        raise DimensionError(f"state dimension {s.n} does not match system {sys.n}")
     return float(quadratic_energy(sys.K, s.q, s.p))
 
 
@@ -201,9 +197,8 @@ def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarra
 
 def _equivalent_stiffness_floats(C, q_k, q_k1, tau: float, epsilon: float):
     """``_equivalent_stiffness_arrays`` of one step as Python float lists, bit
-    for bit; where Python raises ``ZeroDivisionError``, the array form's.
-    C·Δq is the cheaper ``C.dot`` but at n = 1, where it keeps a -0.0."""
-    cd = (2.0 * (C.dot(q_k1 - q_k) if len(C) > 1 else _matvec(C, q_k1 - q_k))).tolist()
+    for bit; where Python raises ``ZeroDivisionError``, the array form's."""
+    cd = (2.0 * _matvec(C, q_k1 - q_k)).tolist()
     pairs = list(zip(q_k1.tolist(), q_k.tolist()))
     valid = [abs(a + b) > epsilon * max(abs(a), abs(b), _FLOOR) for a, b in pairs]
     try:

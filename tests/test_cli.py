@@ -312,6 +312,24 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
+    @pytest.mark.parametrize("sub", ["run", "compare", "convergence", "check-symplectic"])
+    @pytest.mark.parametrize("by_flag", [False, True], ids=["config", "steps-flag"])
+    def test_horizon_with_a_step_count_past_the_float_range(self, tmp_path, capsys, sub,
+                                                            by_flag):
+        """An ``n_steps`` that no float holds, from the config or from
+        ``--steps``, makes τ·n_steps overflow: with a horizon that is a
+        config error, not an ``OverflowError``."""
+        big = 10 ** 400
+        cfg = write_config(tmp_path / "big.json", [[2.0]], [[0.05]], [0.1], [0.2], 0.2,
+                           10 if by_flag else big, horizon=1.0)
+        rc = run_cli([sub, "--config", cfg, "--out", tmp_path / "x",
+                      *(["--steps", big] if by_flag else [])])
+        assert rc == cli.EXIT_CONFIG
+        error = strict_json(capsys.readouterr().err)["error"]
+        assert error == {"type": "config",
+                         "message": "tau*n_steps = inf does not match horizon 1.0"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # (τ/2)² K = -I makes the implicit factor exactly singular
         cfg = tmp_path / "singular.json"
@@ -674,8 +692,7 @@ class TestCsv:
         nones = [None] * block + [None if k % 3 else float(k) for k in range(rows - block)]
         nones[-1] = math.inf
         columns = [range(rows), floats, 0.1, -floats[::-1], states.T[1], math.nan,
-                   rng.random(rows) < 0.5, nones, ["%.17g" % x for x in rng.standard_normal(rows)],
-                   -2.5e-300, np.arange(rows) * 3]
+                   rng.random(rows) < 0.5, nones, -2.5e-300, np.arange(rows) * 3]
         header = [f"c{k}" for k in range(len(columns))]
         expected = "".join(",".join(line) + "\n" for line in [header] + [
             [self.reference(column if isinstance(column, float) else column[i])
@@ -961,6 +978,42 @@ class TestConvergence:
         assert error["type"] == "solver" and "MAX_STUDY_STEPS" in error["message"]
         assert not (tmp_path / "conv.convergence.csv").exists()
 
+    def test_study_whose_rk4_reference_amplifies_a_mode_rejected(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        """C = 2860 puts the fast mode's hλ at -2.793 for h = 1/1024, past
+        RK4's real-axis limit of -2.785, so |R(hλ)| = 1.0116 and the
+        reference would grow a decaying mode 1.0116-fold a step (it used to
+        report every error as 1.3e17). Refused before stepping; the
+        message names h, the gain and the largest τ_max that passes,
+        2.785·1024/2860 ≈ 0.997."""
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused study must not step")
+        monkeypatch.setattr(diagnostics, "propagate", no_stepping)
+        config = write_config(tmp_path / "stiff.json", [[1.0]], [[2860.0]], [1.0], [0.0],
+                              1.0, 20)
+        rc = run_cli(["convergence", "--config", config, "--out", tmp_path / "conv",
+                      "--tau-max", 1, "--levels", 4, "--t-final", 4])
+        assert rc == cli.EXIT_SOLVER
+        message = strict_json(capsys.readouterr().err)["error"]["message"]
+        assert "h = 0.0009765625" in message and "= 1.01163 > 1 + 1e-12" in message
+        assert message.endswith("the largest tau_max that passes is about 0.997252")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stiff.json"]
+
+    def test_study_whose_rk4_reference_is_stable_keeps_its_bytes(self, tmp_path,
+                                                                 monkeypatch):
+        """C = 2000 puts hλ at -1.95, inside RK4's stability interval: the
+        study runs, and its CSV is byte for byte the one of a study whose
+        check admits every finite gain."""
+        config = write_config(tmp_path / "stiff.json", [[1.0]], [[2000.0]], [1.0], [0.0],
+                              1.0, 20)
+        texts = []
+        for slack in (diagnostics.RK4_SLACK, math.inf):
+            monkeypatch.setattr(diagnostics, "RK4_SLACK", slack)
+            assert run_cli(["convergence", "--config", config, "--out", tmp_path / "conv",
+                            "--tau-max", 1, "--levels", 4, "--t-final", 4]) == 0
+            texts.append((tmp_path / "conv.convergence.csv").read_bytes())
+        assert texts[0] == texts[1]
+
 
 class TestCheckSymplectic:
     def test_paper_1d_verdicts(self, tmp_path, capsys):
@@ -1122,8 +1175,9 @@ def _fuzz_configs(draw):
 
 
 def _horizon(tau):
-    """τ as a convergence horizon (a one-step ladder whose reference takes
-    1024 RK4 steps), or 1.0 where τ is no positive float-range number."""
+    """τ as a convergence horizon (a ladder of 1, 2 and 4 steps whose
+    reference takes 1024 RK4 steps), or 1.0 where τ is no positive
+    float-range number."""
     return float(tau) if type(tau) in (int, float) and 0 < tau <= 1e308 else 1.0
 
 
@@ -1132,23 +1186,27 @@ def _cell_ok(cell):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(_fuzz_configs(), st.integers(1, 6))
-@example((*HOSTILE_CONFIGS["scheme-factors"], "midpoint_direct", 0.0), 5)
-@example((*HOSTILE_CONFIGS["factor-defect"], "midpoint_direct", 0.0), 5)
-@example((*HOSTILE_CONFIGS["ktilde-sum"], "midpoint_direct", 0.0), 5)
-@example(([[1.0]], [[0.0]], [0.0], [0.0], 1e308, "midpoint_direct", 1e308), 2)
-def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps):
+@given(_fuzz_configs(), st.integers(1, 6), st.integers(1, 3))
+@example((*HOSTILE_CONFIGS["scheme-factors"], "midpoint_direct", 0.0), 5, 1)
+@example((*HOSTILE_CONFIGS["factor-defect"], "midpoint_direct", 0.0), 5, 1)
+@example((*HOSTILE_CONFIGS["ktilde-sum"], "midpoint_direct", 0.0), 5, 1)
+@example(([[1.0]], [[0.0]], [0.0], [0.0], 1e308, "midpoint_direct", 1e308), 2, 1)
+@example(([[1.0]], [[2860.0]], [1.0], [0.0], 1.0, "midpoint_direct", 0.0), 2, 3)
+def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps, levels):
     """Every subcommand on a drawn config exits 0, 2, 3 or 4 with no
     exception and no warning; every JSON it writes (artifacts, or the
     error object on stderr) is strict, and every CSV cell of a run that
-    exits 0 is finite or empty. The convergence ladder is one step of τ."""
+    exits 0 is finite or empty. The convergence ladder halves τ into 1 to
+    3 levels up to t_final = τ; the last example's RK4 reference would
+    amplify its C = 2860 mode."""
     K, C, q, p, tau, method, t = config
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(pathlib.Path(tmp, "fuzz.json"), K, C, q, p, tau, steps, t,
                             method=method)
         for sub in ("run", "compare", "convergence", "check-symplectic"):
             prefix = os.path.join(tmp, sub)
-            extra = ["--levels", 1, "--t-final", _horizon(tau)] if sub == "convergence" else []
+            extra = ["--levels", levels, "--t-final", _horizon(tau)] \
+                if sub == "convergence" else []
             stdout, stderr = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

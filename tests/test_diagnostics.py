@@ -204,6 +204,61 @@ class TestConvergenceStudy:
             dm.convergence_study(wide, dm.PhaseState(0.0, np.ones(n), np.zeros(n)),
                                  0.01, 1, 30.0)
 
+    def test_undamped_references_admitted_up_to_the_imaginary_limit(self, monkeypatch):
+        """On the imaginary axis |R(iy)|² = 1 - y⁶/72 + y⁸/576 <= 1 up to
+        y = 2√2. Coupled undamped 2-DOF systems whose fast frequency ω
+        sweeps 1e-3 to 0.999·2√2/h (h = 1/1024) are admitted, although
+        rounding may read |R| as 1 + 2.2e-16; at 1.001·2√2/h the reference
+        is refused."""
+        def stepped(*args):
+            raise AssertionError("stepped")
+        monkeypatch.setattr(diagnostics, "propagate", stepped)
+        rotation = np.array([[0.8, -0.6], [0.6, 0.8]])
+        z0 = dm.PhaseState(0.0, [1.0, 0.5], [0.0, -0.3])
+        limit = 2.0 * np.sqrt(2.0) * 1024.0
+        for fast in np.geomspace(1e-3, 0.999 * limit, 200):
+            for slow in (1e-3 * fast, 0.5 * fast, fast):
+                K = rotation @ np.diag([slow ** 2, fast ** 2]) @ rotation.T
+                sys_ = dm.make_system(0.5 * (K + K.T), np.zeros((2, 2)))
+                with pytest.raises(AssertionError, match="stepped"):
+                    dm.convergence_study(sys_, z0, 1.0, 1, 1.0)
+        sys_ = dm.make_system(np.diag([1.0, (1.001 * limit) ** 2]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="amplifies a mode"):
+            dm.convergence_study(sys_, z0, 1.0, 1, 1.0)
+
+    def test_admitted_studies_report_their_errors_against_the_exact_flow(self):
+        """On seeded systems of 1 to 6 DOF, with damping up to stiff, every
+        study the reference check admits reports each level's error
+        against its RK4 reference within 1e-7 of that error against the
+        exact flow V·e^{Λt}·V⁻¹·z₀ (``np.linalg.eig`` of [[0, I], [-K,
+        -C]]), and some studies are refused. The tolerance is the
+        reference's own truncation, about t·|λ|·(h|λ|)⁴/120: 9e-9 on the
+        |λ| = 25 modes drawn here, at h = 0.5/1024."""
+        refused = 0
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 7))
+            b = rng.standard_normal((n, n))
+            K = b @ b.T * 10.0 ** rng.uniform(-1.0, 2.0)
+            C = (np.eye(n) + 0.3 * rng.standard_normal((n, n))) * 10.0 ** rng.uniform(0.0, 4.0)
+            sys_ = dm.make_system(0.5 * (K + K.T), C)
+            z0 = dm.PhaseState(0.0, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+            try:
+                table = dm.convergence_study(sys_, z0, 0.5, 2, 1.0)
+            except ValueError as exc:
+                assert "amplifies a mode" in str(exc)
+                refused += 1
+                continue
+            modes, V = np.linalg.eig(np.block([[np.zeros((n, n)), np.eye(n)],
+                                               [-sys_.K, -sys_.C]]))
+            start = np.concatenate((z0.q, z0.p))
+            exact = (V @ (np.exp(modes) * np.linalg.solve(V, start))).real
+            for row in table.rows:
+                final = dm.propagate(sys_, z0, row.tau, round(1.0 / row.tau))
+                error = np.max(np.abs(np.concatenate((final.q, final.p)) - exact))
+                assert row.error == pytest.approx(error, abs=1e-7), seed
+        assert 0 < refused < 24
+
     @pytest.mark.parametrize("method", dm.METHODS)
     def test_a_study_at_the_cost_bound_runs(self, sys_2d, z0_2d, monkeypatch, method):
         """A ladder of 2 + 4 steps and a 2 048-step reference: each step

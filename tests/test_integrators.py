@@ -288,7 +288,7 @@ class TestIntegrate:
         would not, as the timestamps are t₀ + k·τ."""
         def unreached(*args):
             raise AssertionError("the run was not refused before its factor")
-        monkeypatch.setattr(integrators, "_midpoint_solver", unreached)
+        monkeypatch.setattr(integrators, "scheme_factors", unreached)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"t0 \+ n_steps\*tau is not finite"):
