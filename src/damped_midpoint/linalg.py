@@ -328,28 +328,39 @@ def lu_solver(factorization, left=None):
     threshold lets through, raises ``ZeroDivisionError`` in Python; that
     solve falls back to the row loop for numpy's inf or NaN. Above the
     float bound, a factorization whose first n rows are [I | diag(D)]
-    is checked for that shape once, here.
+    is checked for that shape once, here. Without a left factor, b is
+    taken as ``np.asarray(b, dtype=float)``, which must have shape (m,).
     """
     lu, perm = factorization
     m = len(perm)
     if lu.shape != (m, m):
         raise DimensionError(f"expected one factorization, got lu of shape {lu.shape}")
     if m != 2:
-        return _row_solver(lu, perm, _unit_rows(lu), left)
-    (u00, u01), (l10, u11) = lu.tolist()
-    p0, p1 = perm.tolist()
+        solve = _row_solver(lu, perm, _unit_rows(lu), left)
+    else:
+        (u00, u01), (l10, u11) = lu.tolist()
+        p0, p1 = perm.tolist()
 
-    def solve(b, out=None):
-        rhs = (b if left is None else left.dot(b, out)).tolist()
-        try:
-            x1 = (rhs[p1] - (0.0 + l10 * rhs[p0])) / u11
-            x0 = (rhs[p0] - (0.0 + u01 * x1)) / u00
-        except ZeroDivisionError:
-            return _row_solver(lu, perm, 0, left)(b, out)
-        out = np.empty(2) if out is None else out
-        out[0], out[1] = x0, x1
-        return out
-    return solve
+        def solve(b, out=None):
+            rhs = (b if left is None else left.dot(b, out)).tolist()
+            try:
+                x1 = (rhs[p1] - (0.0 + l10 * rhs[p0])) / u11
+                x0 = (rhs[p0] - (0.0 + u01 * x1)) / u00
+            except ZeroDivisionError:
+                return _row_solver(lu, perm, 0, left)(b, out)
+            out = np.empty(2) if out is None else out
+            out[0], out[1] = x0, x1
+            return out
+    if left is not None:
+        return solve
+
+    def checked(b, out=None):
+        b = np.asarray(b, dtype=float)
+        if b.shape != (m,):
+            raise DimensionError(
+                f"right-hand side has shape {b.shape}, factorization has {lu.shape}")
+        return solve(b, out)
+    return checked
 
 
 def _row_solver(lu: np.ndarray, perm: np.ndarray, half: int = 0, left=None):

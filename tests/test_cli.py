@@ -22,6 +22,7 @@ from damped_midpoint import factored_symplectic_defect, integrate, integrators, 
     scheme_factors
 from damped_midpoint.cli import bundled_config_path, load_config
 from damped_midpoint.integrators import _verify_chunk
+from entry_configs import CASES, ENTRY_CONFIGS, SUBCOMMANDS, STEPS, argument, write
 
 
 def run_cli(args):
@@ -55,36 +56,19 @@ def undamped_config(tmp_path):
 
 
 @pytest.fixture()
+def unstable_config(tmp_path):
+    """Negative damping: the energy overflows at step 149."""
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps({"system": {"K": [[1.0]], "C": [[-5.0]]},
+                                "initial": {"q": [0.1], "p": [0.2]}, "tau": 0.5,
+                                "n_steps": 10}))
+    return path
+
+
+@pytest.fixture()
 def tiny_config(tmp_path):
     """A run whose τ·(q' + q) underflows to 0 at step 1, so K̃ is 0/0."""
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps({
-        "system": {"K": [[1.0, 0.0], [0.0, 2.0]], "C": [[0.5, 0.1], [0.1, 0.3]]},
-        "initial": {"q": [1e-300, 2e-300], "p": [1e-300, 0.0]},
-        "tau": 1e-100,
-        "n_steps": 5,
-    }))
-    return path
-
-
-# (K, C, q, p, τ) past the float limit: (τ/2)·K overflows in the scheme
-# factors, whose direct factor then fails at step 1; M·J·Mᵀ of τ = 1e300
-# is inf - inf, so the direct factor-pair defect is NaN on every step;
-# K̃'s q' + q overflows.
-HOSTILE_CONFIGS = {
-    "scheme-factors": ([[1e308]], [[0.0]], [0.0], [0.0], 1e10),
-    "factor-defect": ([[-0.3]], [[-1e-320]], [0.0], [0.0], 1e300),
-    "ktilde-sum": ([[-0.0]], [[-1e-300]], [1e308], [7.0], 1000.0),
-}
-
-
-def write_config(path, K, C, q, p, tau, n_steps, t=0.0, **fields):
-    """Write a config of these values (NaN and ±inf as JSON's ``NaN`` and
-    ``Infinity`` literals) and return its path."""
-    path.write_text(json.dumps({"system": {"K": K, "C": C},
-                                "initial": {"t": t, "q": q, "p": p},
-                                "tau": tau, "n_steps": n_steps, **fields}))
-    return path
+    return write(tmp_path / "tiny.json", "ktilde00", n_steps=5)
 
 
 class TestBundledConfigs:
@@ -209,7 +193,8 @@ class TestRun:
         rc = run_cli(["run", "--config", bad, "--out", tmp_path / "x"])
         assert rc == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("text", ["null", '"x"', "3", "[1, 2]"])
+    @pytest.mark.parametrize("text", ["null", '"x"', "3",
+                                      json.dumps(ENTRY_CONFIGS["nonobject"].config)])
     def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -241,17 +226,9 @@ class TestRun:
                pytest.approx(0.03, abs=1e-15)
 
     def test_horizon_consistency_checked(self, tmp_path, capsys):
-        base = {
-            "system": {"K": [[2.0]], "C": [[0.05]]},
-            "initial": {"q": [0.1], "p": [0.2]},
-            "tau": 0.2,
-            "n_steps": 250,
-        }
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({**base, "horizon": 50.0}))
+        good = write(tmp_path / "good.json", "paper_1d", horizon=50.0)
         assert run_cli(["run", "--config", good, "--out", tmp_path / "ok"]) == 0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**base, "horizon": 49.0}))
+        bad = write(tmp_path / "bad.json", "paper_1d", horizon=49.0)
         assert run_cli(["run", "--config", bad,
                         "--out", tmp_path / "no"]) == cli.EXIT_CONFIG
 
@@ -320,8 +297,8 @@ class TestRun:
         ``--steps``, makes τ·n_steps overflow: with a horizon that is a
         config error, not an ``OverflowError``."""
         big = 10 ** 400
-        cfg = write_config(tmp_path / "big.json", [[2.0]], [[0.05]], [0.1], [0.2], 0.2,
-                           10 if by_flag else big, horizon=1.0)
+        cfg = write(tmp_path / "big.json", "paper_1d", n_steps=10 if by_flag else big,
+                    horizon=1.0)
         rc = run_cli([sub, "--config", cfg, "--out", tmp_path / "x",
                       *(["--steps", big] if by_flag else [])])
         assert rc == cli.EXIT_CONFIG
@@ -373,8 +350,7 @@ class TestRun:
         """t₀ = τ = 1e308: the timestamps overflow, so every subcommand
         refuses the run (for convergence, a ladder of one step of τ) with a
         solver error, no warning and no file."""
-        config = write_config(tmp_path / "late.json", [[1.0]], [[0.0]], [0.0], [0.0], 1e308, 2,
-                              t=1e308)
+        config = write(tmp_path / "late.json", "late")
         extra = ["--levels", 1, "--t-final", 1e308] if sub == "convergence" else []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -402,12 +378,8 @@ class TestArtifacts:
     to the prefix, the JSON's ``files`` naming both, and one ``wrote``
     line after any verdict lines; a failed run writes nothing."""
 
-    @pytest.mark.parametrize("sub, csv_kind, json_kind", [
-        ("run", "trajectory", "summary"),
-        ("compare", "compare", "compare"),
-        ("convergence", "convergence", "convergence"),
-        ("check-symplectic", "symplectic", "symplectic"),
-    ])
+    @pytest.mark.parametrize("sub, csv_kind, json_kind",
+                             [(sub, *kinds) for sub, kinds in SUBCOMMANDS.items()])
     def test_files_and_stdout(self, tmp_path, capsys, sub, csv_kind, json_kind):
         prefix = tmp_path / "new" / "p"
         assert run_cli([sub, "--config", "paper_1d", "--out", prefix, "--steps", 20]) == 0
@@ -424,32 +396,19 @@ class TestArtifacts:
         assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
     @pytest.mark.parametrize("sub", ["run", "compare", "check-symplectic"])
-    def test_failed_run_writes_nothing(self, tmp_path, capsys, sub):
-        config = tmp_path / "unstable.json"
-        config.write_text(json.dumps({
-            "system": {"K": [[1.0]], "C": [[-5.0]]},
-            "initial": {"q": [0.1], "p": [0.2]},
-            "tau": 0.5,
-            "n_steps": 400,
-        }))
-        rc = run_cli([sub, "--config", config, "--out", tmp_path / "new" / "x"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, sub, unstable_config):
+        rc = run_cli([sub, "--config", unstable_config, "--steps", 400,
+                      "--out", tmp_path / "new" / "x"])
         assert rc == cli.EXIT_SOLVER
         assert json.loads(capsys.readouterr().err)["error"]["step"] == 149
         assert [p.name for p in tmp_path.iterdir()] == ["unstable.json"]
 
-    def test_overflowing_ledger_writes_nothing(self, tmp_path, capsys):
+    def test_overflowing_ledger_writes_nothing(self, tmp_path, capsys, unstable_config):
         """Every state of 295 steps is finite, but the energy overflows at
         step 149: the run fails there, with no file and no warning."""
-        config = tmp_path / "unstable.json"
-        config.write_text(json.dumps({
-            "system": {"K": [[1.0]], "C": [[-5.0]]},
-            "initial": {"q": [0.1], "p": [0.2]},
-            "tau": 0.5,
-            "n_steps": 10,
-        }))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = run_cli(["run", "--config", config, "--steps", 295,
+            rc = run_cli(["run", "--config", unstable_config, "--steps", 295,
                           "--out", tmp_path / "new" / "x"])
         assert rc == cli.EXIT_SOLVER
         err = strict_json(capsys.readouterr().err)["error"]
@@ -496,14 +455,15 @@ class TestArtifacts:
                    "(a defect is not finite)\n" in out
 
     @pytest.mark.parametrize("sub, name, code", [
-        ("compare", "scheme-factors", cli.EXIT_SOLVER),
-        ("check-symplectic", "scheme-factors", cli.EXIT_SOLVER),
-        ("check-symplectic", "factor-defect", 0),
+        ("compare", "huge", cli.EXIT_SOLVER),
+        ("check-symplectic", "huge", cli.EXIT_SOLVER),
+        ("check-symplectic", "nancell", 0),
         ("check-symplectic", "ktilde-sum", 0),
     ], ids=["scheme-factors-compare", "scheme-factors-check", "factor-defect", "ktilde-sum"])
     def test_overflow_warns_nothing(self, tmp_path, capsys, sub, name, code):
-        """Arithmetic past the float limit is silent (``HOSTILE_CONFIGS``)."""
-        config = write_config(tmp_path / "huge.json", *HOSTILE_CONFIGS[name], 5)
+        """Arithmetic past the float limit is silent (the ``huge``,
+        ``nancell`` and ``ktilde-sum`` configs of ``entry_configs``)."""
+        config = write(tmp_path / "huge.json", name, n_steps=5)
         prefix = tmp_path / "x"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -846,8 +806,7 @@ class TestCompare:
     def test_time_axis_is_the_runs(self, tmp_path):
         """``compare``'s t column is its runs' own, so it starts at t₀ bit
         for bit as ``run``'s does, a -0.0 included."""
-        config = write_config(tmp_path / "negzero.json", [[2.0]], [[0.05]], [0.1], [0.2],
-                              0.2, 3, t=-0.0)
+        config = write(tmp_path / "negzero.json", "negzero", n_steps=3)
         for sub, kind in (("run", "trajectory"), ("compare", "compare")):
             assert run_cli([sub, "--config", config, "--out", tmp_path / sub]) == 0
             rows = (tmp_path / f"{sub}.{kind}.csv").read_text().splitlines()
@@ -969,8 +928,7 @@ class TestConvergence:
         def no_stepping(*args, **kwargs):
             raise AssertionError("a refused study must not step")
         monkeypatch.setattr(diagnostics, "propagate", no_stepping)
-        config = write_config(tmp_path / "costly.json", [[-0.0]], [[100.0]], [0.0], [-2.0],
-                              0.001, 20, method="midpoint_indirect")
+        config = write(tmp_path / "costly.json", "costly")
         rc = run_cli(["convergence", "--config", config, "--out", tmp_path / "conv",
                       "--levels", 2, "--t-final", 10.0])
         assert rc == cli.EXIT_SOLVER
@@ -989,8 +947,7 @@ class TestConvergence:
         def no_stepping(*args, **kwargs):
             raise AssertionError("a refused study must not step")
         monkeypatch.setattr(diagnostics, "propagate", no_stepping)
-        config = write_config(tmp_path / "stiff.json", [[1.0]], [[2860.0]], [1.0], [0.0],
-                              1.0, 20)
+        config = write(tmp_path / "stiff.json", "stiffref")
         rc = run_cli(["convergence", "--config", config, "--out", tmp_path / "conv",
                       "--tau-max", 1, "--levels", 4, "--t-final", 4])
         assert rc == cli.EXIT_SOLVER
@@ -1001,11 +958,11 @@ class TestConvergence:
 
     def test_study_whose_rk4_reference_is_stable_keeps_its_bytes(self, tmp_path,
                                                                  monkeypatch):
-        """C = 2000 puts hλ at -1.95, inside RK4's stability interval: the
-        study runs, and its CSV is byte for byte the one of a study whose
-        check admits every finite gain."""
-        config = write_config(tmp_path / "stiff.json", [[1.0]], [[2000.0]], [1.0], [0.0],
-                              1.0, 20)
+        """The ``stiffref`` config at C = 2000 puts hλ at -1.95, inside
+        RK4's stability interval: the study runs, and its CSV is byte for
+        byte the one of a study whose check admits every finite gain."""
+        config = write(tmp_path / "stiff.json", "stiffref",
+                       system={"K": [[1.0]], "C": [[2000.0]]})
         texts = []
         for slack in (diagnostics.RK4_SLACK, math.inf):
             monkeypatch.setattr(diagnostics, "RK4_SLACK", slack)
@@ -1036,13 +993,8 @@ class TestCheckSymplectic:
                                        "indirect": "symplectic"}
 
     def test_motionless_start_gives_insufficient_data(self, tmp_path):
-        cfg = tmp_path / "rest.json"
-        cfg.write_text(json.dumps({
-            "system": {"K": [[2.0]], "C": [[0.05]]},
-            "initial": {"q": [0.0], "p": [0.0]},
-            "tau": 0.2,
-            "n_steps": 10,
-        }))
+        cfg = write(tmp_path / "rest.json", "paper_1d", initial={"q": [0.0], "p": [0.0]},
+                    n_steps=10)
         assert run_cli(["check-symplectic", "--config", cfg,
                         "--out", tmp_path / "sym"]) == 0
         summary = read_json(tmp_path / "sym.symplectic.json")
@@ -1089,12 +1041,11 @@ class TestCheckSymplectic:
         assert float(first[5]) <= 1e-12   # indirect factor pair passes
 
     def test_non_finite_defects_are_empty_cells(self, tmp_path, capsys):
-        """Every direct factor-pair defect of ``HOSTILE_CONFIGS``'
-        factor-defect config is NaN: each is an empty cell, as a singular
-        step's. The transition defect stays finite, so the direct verdict
-        stands; a family with a defect that is not finite would have
-        insufficient data."""
-        config = write_config(tmp_path / "huge.json", *HOSTILE_CONFIGS["factor-defect"], 5)
+        """Every direct factor-pair defect of the ``nancell`` entry config
+        is NaN: each is an empty cell, as a singular step's. The transition
+        defect stays finite, so the direct verdict stands; a family with a
+        defect that is not finite would have insufficient data."""
+        config = write(tmp_path / "huge.json", "nancell", n_steps=5)
         assert run_cli(["check-symplectic", "--config", config, "--method", "midpoint_direct",
                         "--out", tmp_path / "sym"]) == 0
         rows = [row.split(",") for row in
@@ -1124,15 +1075,9 @@ class TestCheckSymplectic:
                 assert cell == "%.17g" % factored_symplectic_defect(*pair)
 
 
-def test_blow_up_reports_step(tmp_path, capsys):
-    config = tmp_path / "unstable.json"
-    config.write_text(json.dumps({
-        "system": {"K": [[1.0]], "C": [[-5.0]]},
-        "initial": {"q": [0.1], "p": [0.2]},
-        "tau": 0.5,
-        "n_steps": 5000,
-    }))
-    assert run_cli(["run", "--config", config, "--out", tmp_path / "x"]) == cli.EXIT_SOLVER
+def test_blow_up_reports_step(tmp_path, capsys, unstable_config):
+    assert run_cli(["run", "--config", unstable_config, "--steps", 5000,
+                    "--out", tmp_path / "x"]) == cli.EXIT_SOLVER
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "solver"
     assert err["step"] == 149
@@ -1170,8 +1115,9 @@ def _fuzz_configs(draw):
             K[i][j] = K[j][i] = next(upper)
     C = [values(n) for _ in range(n)]
     tau = draw(st.one_of(st.builds(abs, _SIGNED_POWER), st.floats(1e-3, 2.0), number))
-    return (K, C, values(n), values(n), tau,
-            draw(st.sampled_from(integrators.METHODS)), draw(number))
+    q, p, method = values(n), values(n), draw(st.sampled_from(integrators.METHODS))
+    return {"system": {"K": K, "C": C}, "initial": {"t": draw(number), "q": q, "p": p},
+            "tau": tau, "method": method}
 
 
 def _horizon(tau):
@@ -1187,11 +1133,11 @@ def _cell_ok(cell):
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(_fuzz_configs(), st.integers(1, 6), st.integers(1, 3))
-@example((*HOSTILE_CONFIGS["scheme-factors"], "midpoint_direct", 0.0), 5, 1)
-@example((*HOSTILE_CONFIGS["factor-defect"], "midpoint_direct", 0.0), 5, 1)
-@example((*HOSTILE_CONFIGS["ktilde-sum"], "midpoint_direct", 0.0), 5, 1)
-@example(([[1.0]], [[0.0]], [0.0], [0.0], 1e308, "midpoint_direct", 1e308), 2, 1)
-@example(([[1.0]], [[2860.0]], [1.0], [0.0], 1.0, "midpoint_direct", 0.0), 2, 3)
+@example(ENTRY_CONFIGS["huge"].config, 5, 1)
+@example(ENTRY_CONFIGS["nancell"].config, 5, 1)
+@example(ENTRY_CONFIGS["ktilde-sum"].config, 5, 1)
+@example(ENTRY_CONFIGS["late"].config, 2, 1)
+@example(ENTRY_CONFIGS["stiffref"].config, 2, 3)
 def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps, levels):
     """Every subcommand on a drawn config exits 0, 2, 3 or 4 with no
     exception and no warning; every JSON it writes (artifacts, or the
@@ -1199,13 +1145,12 @@ def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps, levels
     exits 0 is finite or empty. The convergence ladder halves τ into 1 to
     3 levels up to t_final = τ; the last example's RK4 reference would
     amplify its C = 2860 mode."""
-    K, C, q, p, tau, method, t = config
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_config(pathlib.Path(tmp, "fuzz.json"), K, C, q, p, tau, steps, t,
-                            method=method)
-        for sub in ("run", "compare", "convergence", "check-symplectic"):
+        path = pathlib.Path(tmp, "fuzz.json")
+        path.write_text(json.dumps({**config, "n_steps": steps}))
+        for sub in SUBCOMMANDS:
             prefix = os.path.join(tmp, sub)
-            extra = ["--levels", levels, "--t-final", _horizon(tau)] \
+            extra = ["--levels", levels, "--t-final", _horizon(config["tau"])] \
                 if sub == "convergence" else []
             stdout, stderr = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
@@ -1227,3 +1172,32 @@ def test_fuzzed_configs_exit_cleanly_with_strict_artifacts(config, steps, levels
                 else:
                     cells = ",".join(text.splitlines()[1:]).split(",")
                     assert all(map(_cell_ok, cells)), (sub, config, name)
+
+
+@pytest.mark.parametrize("name, sub, code",
+                         [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in CASES])
+def test_entry_config_matrix(tmp_path, capsys, name, sub, code):
+    """Every config of ``entry_configs`` exits with its table's code, at
+    CI's ``--steps 20`` and with warnings as errors. On exit 0 it writes
+    its two artifacts: strict JSON, and a CSV whose rows are as wide as
+    its header, with no cell that is not finite. On any other exit it
+    writes nothing, and stderr holds a strict JSON error. No temp file is
+    left either way."""
+    config = argument(name, tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli([sub, "--config", config, "--out", out / "x", "--steps", STEPS])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if code:
+        assert strict_json(err)["error"]["type"]
+        assert not out.exists()
+        return
+    csv_kind, json_kind = SUBCOMMANDS[sub]
+    assert sorted(os.listdir(out)) == sorted([f"x.{csv_kind}.csv", f"x.{json_kind}.json"])
+    strict_json((out / f"x.{json_kind}.json").read_text(encoding="utf-8"))
+    rows = [line.split(",") for line in
+            (out / f"x.{csv_kind}.csv").read_text(encoding="utf-8").splitlines()]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert all(_cell_ok(cell) for row in rows[1:] for cell in row)

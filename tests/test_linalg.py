@@ -154,6 +154,20 @@ def test_stacked_rhs_shape_mismatch_rejected():
         lu_solver(factorization)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
+def test_prepared_solve_checks_its_right_hand_side(m):
+    """Without a left factor, b is any array_like of shape (m,): a list
+    solves as its float array does, and a vector of another length, which
+    the row loops used to cut to its first m entries, is rejected."""
+    rng = np.random.default_rng(m)
+    solve = lu_solver(lu_factor(rng.standard_normal((m, m)) + m * np.eye(m)))
+    b = rng.integers(-5, 6, m).tolist()
+    assert solve(b).tobytes() == solve(np.array(b, dtype=float)).tobytes()
+    for shape in ((m + 1,), (m, 1), ()):
+        with pytest.raises(DimensionError):
+            solve(np.ones(shape))
+
+
 def test_empty_matrix_solves_to_empty():
     lu, perm = lu_factor(np.zeros((0, 0)))
     assert lu.shape == (0, 0) and perm.shape == (0,)
