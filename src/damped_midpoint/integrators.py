@@ -28,7 +28,8 @@ from .errors import DimensionError, IntegrationError, InvalidStiffnessError, \
     SingularMatrixError
 from .symplectic import frobenius_squared, symplectic_form, symplectic_defect
 from .system import DEFAULT_EPSILON, DampedLinearSystem, EquivalentStiffness, PhaseState, \
-    _equivalent_stiffness_arrays, _equivalent_stiffness_floats, damping_work, quadratic_energy
+    _equivalent_stiffness_arrays, _equivalent_stiffness_floats, _frozen, damping_work, \
+    quadratic_energy
 
 METHODS = ("midpoint_direct", "midpoint_indirect", "rk4")
 
@@ -180,8 +181,8 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
 
 @dataclass(frozen=True)
 class TransitionPair:
-    """The direct and indirect one-step transition matrices with their
-    symplectic defects; the indirect half is absent without a valid K̃."""
+    """Both one-step transition matrices, frozen by ``transition_matrices``, with
+    their symplectic defects; the indirect half is absent without a valid K̃."""
 
     direct: np.ndarray
     defect_direct: float
@@ -203,6 +204,7 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
     form = symplectic_form(sys.n)
     m, nn = scheme_factors(sys.K, sys.C, float(tau))
     direct = linalg.lu_solve(linalg.lu_factor(m), nn)
+    direct.setflags(write=False)
     defect_direct = symplectic_defect(direct, form)
     if ks is None:
         return TransitionPair(direct, defect_direct, None, None)
@@ -214,6 +216,7 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
         raise InvalidStiffnessError(np.flatnonzero(~ks.valid))
     m2, n2 = _substituting_pairs(sys.K, float(tau))(ks.diag)
     indirect = linalg.lu_solve(linalg.lu_factor(m2), n2)
+    indirect.setflags(write=False)
     defect_indirect = symplectic_defect(indirect, form)
     return TransitionPair(direct, defect_direct, indirect, defect_indirect)
 
@@ -237,14 +240,6 @@ class StepRecord:
     ktilde: EquivalentStiffness
 
 
-def _read_only(a, dtype) -> np.ndarray:
-    a = np.asarray(a, dtype=dtype)
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """An integration run held as read-only arrays.
@@ -260,8 +255,8 @@ class Trajectory:
     transition matrices, the scale their defects are judged against.
     Defects and norms are NaN where not given, and the indirect ones on
     singular steps.
-    Writable inputs are copied, so no caller can change a trajectory
-    afterwards.
+    Arrays are taken by the one freeze rule (``system._frozen``), so no
+    caller can change a trajectory afterwards.
     """
 
     system: DampedLinearSystem
@@ -290,7 +285,7 @@ class Trajectory:
                   "ktilde": (steps, n), "valid": (steps, n), "defect_indirect": (steps,),
                   "norm2_indirect": (steps,)}
         for name, shape in shapes.items():
-            a = _read_only(getattr(self, name), bool if name == "valid" else float)
+            a = _frozen(getattr(self, name), bool if name == "valid" else float)
             if a.shape != shape:
                 raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
             object.__setattr__(self, name, a)

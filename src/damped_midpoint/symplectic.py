@@ -21,11 +21,13 @@ SYMPLECTIC_TOL = 1e-10
 def symplectic_form(n: int) -> np.ndarray:
     """Return the canonical 2n-by-2n form J = [[0, I], [-I, 0]].
 
-    Entries are exactly 0, +1 and -1; the returned array is read-only.
+    Entries are exactly 0, +1 and -1; the returned array is read-only. An
+    n that is not an int or numpy integer (a bool, a float) is refused, not
+    truncated.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionError(f"degrees of freedom must be an integer >= 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise DimensionError(f"degrees of freedom must be >= 1, got {n}")
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)

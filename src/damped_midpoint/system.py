@@ -26,9 +26,16 @@ _PSD_TOL = 1e-12
 _FLOOR = 1e-300
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
+def _frozen(a, dtype=float) -> np.ndarray:
+    """Every record's freeze rule: ``a`` itself when it is a ``dtype`` ndarray
+    that, like every array it views, is read-only; else one read-only copy.
+    Arrays a function makes are frozen in place, so their record keeps them."""
+    view = a
+    while type(view) is np.ndarray and not view.flags.writeable:
+        view = view.base
+    if view is not None or getattr(a, "dtype", None) != dtype:
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
     return a
 
 
@@ -49,8 +56,7 @@ class DampedLinearSystem:
     monotone_energy_certified: bool = field(init=False)
 
     def __post_init__(self):
-        k = np.asarray(self.K, dtype=float)
-        c = np.asarray(self.C, dtype=float)
+        k, c = _frozen(self.K), _frozen(self.C)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise DimensionError(f"stiffness must be square, got shape {k.shape}")
         if not k.size:
@@ -72,8 +78,8 @@ class DampedLinearSystem:
         sym = 0.5 * c + 0.5 * c.T   # 0.5 * (c + c.T) on normal floats, without overflow
         smallest = float(np.linalg.eigvalsh(sym)[0])
         certified = smallest >= -_PSD_TOL * max(1.0, float(np.max(np.abs(sym))))
-        object.__setattr__(self, "K", _frozen(k))
-        object.__setattr__(self, "C", _frozen(c))
+        object.__setattr__(self, "K", k)
+        object.__setattr__(self, "C", c)
         object.__setattr__(self, "n", int(k.shape[0]))
         object.__setattr__(self, "monotone_energy_certified", bool(certified))
 
@@ -92,8 +98,7 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
+        q, p = np.atleast_1d(_frozen(self.q), _frozen(self.p))
         if q.ndim != 1 or p.shape != q.shape:
             raise DimensionError(
                 f"coordinates and momenta must be equal-length vectors, "
@@ -102,8 +107,8 @@ class PhaseState:
         if not (np.isfinite(self.t) and np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise ValueError("phase state must be finite")
         object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "q", _frozen(q))
-        object.__setattr__(self, "p", _frozen(p))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
 
     @property
     def n(self) -> int:
@@ -123,14 +128,12 @@ class EquivalentStiffness:
     valid: np.ndarray
 
     def __post_init__(self):
-        diag = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        valid = np.atleast_1d(np.asarray(self.valid, dtype=bool))
+        diag, valid = np.atleast_1d(_frozen(self.diag), _frozen(self.valid, bool))
         if diag.shape != valid.shape or diag.ndim != 1:
             raise DimensionError("diag and valid must be equal-length vectors")
-        diag = np.where(valid, diag, 0.0)
-        diag.setflags(write=False)
-        valid = valid.copy()
-        valid.setflags(write=False)
+        if not valid.all():
+            diag = np.where(valid, diag, 0.0)
+            diag.setflags(write=False)
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "valid", valid)
 

@@ -40,6 +40,11 @@ def _config(K, C, q, p, tau, n_steps=STEPS, t=None, **fields):
             **fields}
 
 
+# paper_1d's fields, which the config-error entries below break one at a time.
+_PAPER_1D = _config([[2.0]], [[0.05]], [0.1], [0.2], 0.2)
+_CONFIG_ERROR = (2, 2, 2, 2)
+
+
 ENTRY_CONFIGS = {
     "paper_1d": EntryConfig("paper_1d", (0, 0, 0, 0),
                             "The bundled scalar config: 2×2 schemes, factored and "
@@ -95,6 +100,22 @@ ENTRY_CONFIGS = {
                             "convergence refuses its study before stepping: its RK4 "
                             "reference step τ/1024 puts the fast mode's hλ at -2.793, past "
                             "RK4's real-axis limit of -2.785."),
+    "system-number": EntryConfig({**_PAPER_1D, "system": 5}, _CONFIG_ERROR,
+                                 "A system that is neither an object nor a file path is a "
+                                 "config error."),
+    "no-tau": EntryConfig({k: v for k, v in _PAPER_1D.items() if k != "tau"}, _CONFIG_ERROR,
+                          "A config without its required tau field is a config error."),
+    "initial-list": EntryConfig({**_PAPER_1D, "initial": [0.1, 0.2]}, _CONFIG_ERROR,
+                                "An initial state given as a list, not as {q, p}, is a "
+                                "config error."),
+    "euler": EntryConfig({**_PAPER_1D, "method": "euler"}, _CONFIG_ERROR,
+                         "A method outside METHODS is a config error."),
+    "epsilon-0": EntryConfig({**_PAPER_1D, "epsilon": 0}, _CONFIG_ERROR,
+                             "An epsilon that is not positive is a config error."),
+    "start-2d": EntryConfig(_config([[2.0]], [[0.05]], [0.1, 0.2], [0.2, 0.1], 0.2),
+                            _CONFIG_ERROR,
+                            "A 2-component start on paper_1d's scalar system is a config "
+                            "error."),
 }
 
 

@@ -253,10 +253,11 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
-    @pytest.mark.parametrize("prefix", ["true", "5", '["x"]'])
+    @pytest.mark.parametrize("prefix", ["true", "5", '["x"]', "null"])
     def test_output_prefix_must_be_a_string(self, tmp_path, capsys, prefix):
         """Without ``--out`` the config's ``output_prefix`` names the
-        outputs; one that is not a string is a config error."""
+        outputs; one that is not a string is a config error, and so is a
+        null one, which leaves the outputs unnamed."""
         base = bundled_config_path("paper_1d").read_text().rstrip().rstrip("}")
         cfg = tmp_path / "bad.json"
         cfg.write_text(f'{base}, "output_prefix": {prefix}}}')
@@ -887,6 +888,20 @@ class TestConvergence:
         assert [row["observed_order"] for row in rows] == [None, None, None]
         lines = (tmp_path / "conv.convergence.csv").read_text().splitlines()
         assert all(line.endswith(",") for line in lines[1:])
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--levels", 0], "levels must be >= 1"),
+        (["--tau-max", -0.1], "must be positive"),
+        # The second level halves the smallest subnormal step to 0.0.
+        (["--tau-max", 5e-324, "--levels", 2, "--t-final", 5e-324],
+         "step size 0.0 is not positive and finite"),
+    ], ids=["levels-0", "negative-tau-max", "tau-halves-to-0"])
+    def test_ladder_arguments_rejected(self, tmp_path, capsys, extra, message):
+        rc = run_cli(["convergence", "--config", "paper_1d", "--out", tmp_path / "conv", *extra])
+        assert rc == cli.EXIT_SOLVER
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "solver" and message in error["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_commensurate_rejected(self, tmp_path, capsys):
         rc = run_cli(["convergence", "--config", "paper_1d",

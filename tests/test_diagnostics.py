@@ -6,11 +6,14 @@ import pytest
 import damped_midpoint as dm
 from damped_midpoint import diagnostics
 from damped_midpoint.errors import InsufficientOscillationError
+from damped_midpoint.system import quadratic_energy
 
 
 def synthetic_trajectory(times, values):
-    """Wrap a sampled scalar signal as a trajectory (diagnostics only read
-    states, so ledger fields can be placeholders)."""
+    """Wrap a sampled scalar signal as a trajectory for the period tests,
+    which read only its states. Its ledger arrays are zero placeholders
+    that no state gave, so ``energy_report``, which reads them, is not run
+    on it."""
     sys_ = dm.make_system([[1.0]], [[0.0]])
     steps = len(times) - 1
     zeros = np.zeros(steps)
@@ -55,12 +58,24 @@ class TestEnergyReport:
 
     @pytest.mark.parametrize("method", dm.METHODS)
     def test_recomputed_ledger_matches_stored(self, sys_2d, z0_2d, method):
+        """The report reads the stored ledger; recomputed here from the
+        stored states, it is the same bit for bit."""
         tr = dm.integrate(sys_2d, z0_2d, 0.2, 200, method)
         rep = dm.energy_report(tr)
-        stored = np.array([rec.hhat for rec in tr.steps])
-        assert np.max(np.abs(rep.hhat[1:] - stored)) <= 1e-14
-        stored_e = np.array([rec.energy for rec in tr.steps])
-        assert np.array_equal(rep.energy[1:], stored_e)
+        energy = quadratic_energy(tr.system.K, tr.q, tr.p)
+        work = dm.damping_work(tr.system, tr.q[:-1], tr.q[1:], tr.tau)
+        work_cumulative = np.concatenate(([0.0], np.cumsum(work)))
+        assert rep.energy.tobytes() == energy.tobytes()
+        assert rep.work_cumulative.tobytes() == work_cumulative.tobytes()
+        assert rep.hhat.tobytes() == (energy + work_cumulative).tobytes()
+        assert rep.max_energy_residual == np.abs(np.diff(energy) + work).max()
+        assert np.array_equal(rep.hhat[1:], [rec.hhat for rec in tr.steps])
+
+    def test_series_are_read_only(self, sys_1d, z0_1d):
+        rep = dm.energy_report(dm.integrate(sys_1d, z0_1d, 0.2, 5))
+        for series in (rep.energy, rep.work_cumulative, rep.hhat):
+            with pytest.raises(ValueError):
+                series[0] = 0.0
 
     def test_counts_singular_steps(self):
         k, c, tau, q0 = 1.0, 0.1, 0.2, 0.3
@@ -111,6 +126,15 @@ class TestPeriodEstimate:
         tr = dm.integrate(sys_1d, z0_1d, 0.2, 10, "midpoint_direct")
         with pytest.raises(IndexError):
             dm.period_estimate(tr, 1)
+
+    @pytest.mark.parametrize("component", [True, 0.5, 1.0, -1])
+    def test_component_that_is_no_index(self, sys_2d, z0_2d, component):
+        """The function's own IndexError, naming the value; a bool or a
+        float used to reach numpy's indexing."""
+        tr = dm.integrate(sys_2d, z0_2d, 0.2, 300, "midpoint_direct")
+        with pytest.raises(IndexError, match=f"component {component!r} is no index"):
+            dm.period_estimate(tr, component)
+        assert dm.period_estimate(tr, np.int64(1)) == dm.period_estimate(tr, 1)
 
 
 class TestConvergenceStudy:

@@ -152,6 +152,13 @@ class TestTransitionMatrices:
         assert dm.factored_symplectic_defect(m1, n1) == pytest.approx(expected,
                                                                       rel=1e-12)
 
+    def test_matrices_are_read_only(self, sys_2d):
+        ks = dm.EquivalentStiffness(diag=[0.1, 0.2], valid=[True, True])
+        pair = dm.transition_matrices(sys_2d, ks, 0.2)
+        for matrix in (pair.direct, pair.indirect):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+
     def test_without_stiffness_only_direct_half(self, sys_1d):
         pair = dm.transition_matrices(sys_1d, None, 0.2)
         assert pair.indirect is None and pair.defect_indirect is None
@@ -248,6 +255,9 @@ class TestIntegrate:
             dm.integrate(sys_1d, z0_1d, -0.1, 10)
         with pytest.raises(ValueError):
             dm.integrate(sys_1d, z0_1d, 0.2, 10, "leapfrog")
+        for run in (dm.integrate, dm.propagate):
+            with pytest.raises(DimensionError, match="state dimension 2 does not match"):
+                run(sys_1d, dm.PhaseState(0.0, [0.1, 0.2], [0.0, 0.0]), 0.2, 10)
 
     @pytest.mark.parametrize("run", [dm.integrate, dm.propagate])
     @pytest.mark.parametrize("epsilon", [0.0, -1e-8, np.nan, np.inf])
@@ -376,15 +386,38 @@ class TestTrajectoryArrays:
     def test_integrate_hands_arrays_over_uncopied(self, sys_1d, z0_1d, method, monkeypatch):
         kept = []
 
-        def spy(a, dtype):
-            out = read_only(a, dtype)
+        def spy(a, dtype=float):
+            out = frozen(a, dtype)
             kept.append(out is a)
             return out
-        read_only = integrators._read_only
-        monkeypatch.setattr(integrators, "_read_only", spy)
+        frozen = integrators._frozen
+        assert frozen is dm.system._frozen   # the one freeze rule of every record
+        monkeypatch.setattr(integrators, "_frozen", spy)
         tr = dm.integrate(sys_1d, z0_1d, 0.2, 5, method)
         assert len(kept) == 10 and all(kept)
         assert tr.q.base is tr.p.base
+
+    def test_read_only_view_of_a_writable_array_is_copied(self, sys_1d):
+        """A read-only view does not freeze its base: the caller could still
+        change the trajectory through it."""
+        energy = np.zeros(1)
+        view = energy[:]
+        view.setflags(write=False)
+        tr = dm.Trajectory(system=sys_1d, tau=0.1, method="midpoint_direct",
+                           t=[0.0, 0.1], q=np.zeros((2, 1)), p=np.zeros((2, 1)),
+                           energy=view, work=[0.0], hhat=[0.0], ktilde=[[0.0]],
+                           valid=[[True]], defect_direct=0.0, defect_indirect=[0.0])
+        energy[0] = 9.0
+        assert tr.energy[0] == 0.0
+
+    @pytest.mark.parametrize("method", dm.METHODS)
+    def test_step_records_share_the_trajectory_memory(self, sys_2d, z0_2d, method):
+        tr = dm.integrate(sys_2d, z0_2d, 0.2, 5, method)
+        for k, rec in enumerate(tr.steps):
+            assert np.shares_memory(rec.state.q, tr.q) and np.shares_memory(rec.state.p, tr.p)
+            assert np.array_equal(rec.state.q, tr.q[k + 1])
+            assert np.shares_memory(rec.ktilde.valid, tr.valid)
+            assert rec.singular or np.shares_memory(rec.ktilde.diag, tr.ktilde)
 
     def test_constructor_copies_writable_inputs(self, sys_1d):
         q = np.array([[1.0], [0.5]])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import damped_midpoint as dm
 from damped_midpoint import integrators, linalg
 from damped_midpoint.symplectic import frobenius_squared
+from damped_midpoint.system import quadratic_energy
 from reference_steps import reference_step
 
 STEPS = 12
@@ -131,17 +132,22 @@ def test_hhat_ledger_is_constant(run, method):
 @settings(property_settings, max_examples=40)
 @given(damped_runs(max_n=20), st.sampled_from(dm.METHODS))
 def test_report_ledger_is_the_trajectory_ledger(run, method):
-    """``energy_report`` recomputes E and Ĥ from the stored states; from
-    step 1 on they are the trajectory's own arrays bit for bit, so the run
-    CSV takes both columns from the report alone."""
+    """``energy_report`` reads the trajectory's ledger; E, Σ work and Ĥ
+    recomputed here from the stored states are its series bit for bit, so
+    the stored ledger is checked against its states and the run CSV takes
+    both columns from the report alone."""
     sys_, z0, tau = run
     try:
         tr = dm.integrate(sys_, z0, tau, WIDE_STEPS, method)
     except dm.IntegrationError:
         return   # a singular substitute, or RK4 past its stability limit
     rep = dm.energy_report(tr)
-    assert np.array_equal(rep.energy[1:], tr.energy)
-    assert np.array_equal(rep.hhat[1:], tr.hhat)
+    energy = quadratic_energy(sys_.K, tr.q, tr.p)
+    work_cumulative = np.concatenate(([0.0], np.cumsum(
+        dm.damping_work(sys_, tr.q[:-1], tr.q[1:], tr.tau))))
+    assert rep.energy.tobytes() == energy.tobytes()
+    assert rep.work_cumulative.tobytes() == work_cumulative.tobytes()
+    assert rep.hhat.tobytes() == (energy + work_cumulative).tobytes()
     assert rep.energy[0] == rep.hhat[0] == rep.initial_energy
 
 

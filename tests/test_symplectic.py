@@ -37,7 +37,7 @@ class TestSymplecticForm:
         assert np.array_equal(j[:2, :2], np.zeros((2, 2)))
         assert np.array_equal(j[2:, 2:], np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, np.int64(2)])
     def test_exact_identities(self, n):
         j = symplectic_form(n)
         assert np.array_equal(j @ j, -np.eye(2 * n))
@@ -46,6 +46,12 @@ class TestSymplecticForm:
     def test_rejects_zero_dimension(self):
         with pytest.raises(DimensionError):
             symplectic_form(0)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(2.0)])
+    def test_rejects_a_size_that_is_no_integer(self, n):
+        """Not truncated (2.5 was a 4×4 form) nor read as 1 (True)."""
+        with pytest.raises(DimensionError, match="must be an integer >= 1"):
+            symplectic_form(n)
 
     def test_read_only(self):
         j = symplectic_form(1)
@@ -82,6 +88,10 @@ class TestInfinitesimalDefect:
 class TestSymplecticDefect:
     def test_identity_is_symplectic(self):
         assert symplectic_defect(np.eye(4)) == 0.0
+
+    def test_nonsquare_rejected(self):
+        with pytest.raises(DimensionError, match="square"):
+            symplectic_defect(np.ones((2, 3)))
 
     def test_scaled_identity_value(self):
         # F = 2I gives ‖4J - J‖ = 3‖J‖ = 3·sqrt(2) for n = 1

@@ -64,9 +64,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="symmetric"):
             dm.make_system([[1.0, 0.5], [0.0, 1.0]], np.zeros((2, 2)))
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("K, C", [(np.eye(2), np.zeros((3, 3))),
+                                      (np.ones((2, 3)), np.ones((2, 3))),
+                                      (np.ones(2), np.ones(2))],
+                             ids=["mismatch", "non-square", "vector"])
+    def test_dimension_mismatch_rejected(self, K, C):
         with pytest.raises(DimensionError):
-            dm.make_system(np.eye(2), np.zeros((3, 3)))
+            dm.make_system(K, C)
+
+    @pytest.mark.parametrize("K, C", [([[np.nan]], [[0.0]]), ([[1.0]], [[np.inf]])],
+                             ids=["K-nan", "C-inf"])
+    def test_matrices_must_be_finite(self, K, C):
+        with pytest.raises(ValueError, match="finite"):
+            dm.make_system(K, C)
 
     def test_no_degrees_of_freedom_rejected(self):
         with pytest.raises(DimensionError, match="degrees of freedom"):
@@ -126,6 +136,10 @@ class TestTotalEnergy:
 
 
 class TestEquivalentStiffness:
+    def test_diag_and_valid_lengths_must_match(self):
+        with pytest.raises(DimensionError, match="equal-length"):
+            dm.EquivalentStiffness(diag=[0.1, 0.2], valid=[True])
+
     def test_undamped_gives_zero(self):
         s = dm.make_system(np.eye(2), np.zeros((2, 2)))
         ks = equivalent_stiffness(s, [0.1, 0.2], [0.15, 0.25], 0.1)
@@ -220,6 +234,11 @@ class TestAnalytic1d:
     def test_overdamped_rejected(self):
         with pytest.raises(ValueError, match="underdamped"):
             dm.analytic_1d(1.0, 2.0, 0.1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("k, c", [(0.0, 0.1), (-1.0, 0.0), (1.0, -0.1)])
+    def test_stiffness_not_positive_or_damping_negative_rejected(self, k, c):
+        with pytest.raises(ValueError, match="need k > 0 and c >= 0"):
+            dm.analytic_1d(k, c, 0.1, 0.0, 1.0)
 
     def test_satisfies_equation_of_motion(self):
         # Central second difference of q against -k·q - c·p.
