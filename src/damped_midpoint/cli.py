@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -38,7 +37,7 @@ from .integrators import METHODS, Trajectory, integrate, scheme_factors, \
     substituting_factors
 from .symplectic import SYMPLECTIC_TOL, factored_symplectic_defect, scaled_verdict, \
     symplectic_form
-from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, total_energy
+from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, _Record, total_energy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,8 +45,7 @@ EXIT_IO = 3
 EXIT_SOLVER = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """One fully-resolved run, as ``load_config`` checked it: system,
     initial state, stepping parameters."""
 

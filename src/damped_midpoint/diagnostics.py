@@ -7,22 +7,20 @@ the initial energy E⁰; the tests recompute that ledger from the states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientOscillationError
 from .integrators import Trajectory, _check_scheme, propagate
-from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, analytic_1d, \
-    quadratic_energy
+from .system import DEFAULT_EPSILON, DampedLinearSystem, PhaseState, _Record, _frozen, \
+    _real, analytic_1d, quadratic_energy
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(_Record):
     """Energy/work/ledger series of a trajectory plus summary statistics.
 
     Series include the initial sample (work 0, ledger equal to the initial
-    energy); ``energy_report`` freezes them. ``max_hhat_deviation`` is max_k |Ĥ_k - E⁰|;
+    energy), taken by ``system._frozen``. ``max_hhat_deviation`` is max_k |Ĥ_k - E⁰|;
     ``max_energy_residual`` is the largest violation of the per-step
     identity E_{k+1} - E_k = -(Δq)ᵀC(Δq)/τ, which holds to round-off for
     the midpoint schemes but not for Runge-Kutta.
@@ -36,6 +34,10 @@ class EnergyReport:
     max_energy_residual: float
     monotone: bool
     singular_steps: int
+
+    def __post_init__(self):
+        self.__dict__.update(energy=_frozen(self.energy), hhat=_frozen(self.hhat),
+                             work_cumulative=_frozen(self.work_cumulative))
 
 
 def energy_report(tr: Trajectory) -> EnergyReport:
@@ -113,15 +115,13 @@ def _step_cost(method: str, n: int) -> int:
     return first + per_dof * (n - 1)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(_Record):
     tau: float
     error: float
     observed_order: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(_Record):
     """Step-halving error ladder with observed orders between rows."""
 
     rows: tuple[ConvergenceRow, ...]
@@ -161,7 +161,8 @@ def convergence_study(sys: DampedLinearSystem, z0: PhaseState, tau_max: float,
     levels = int(levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    if not math.isfinite(tau_max) or not math.isfinite(t_final):
+    if not (_real(tau_max) and _real(t_final)) \
+            or not math.isfinite(tau_max) or not math.isfinite(t_final):
         raise ValueError(f"tau_max and t_final must be finite, got {tau_max} and {t_final}")
     if not tau_max > 0.0 or not t_final > 0.0:
         raise ValueError("tau_max and t_final must be positive")

@@ -18,7 +18,6 @@ stiffness K + K̃ and zero damping yields the substituting scheme's pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,8 +27,8 @@ from .errors import DimensionError, IntegrationError, InvalidStiffnessError, \
     SingularMatrixError
 from .symplectic import frobenius_squared, symplectic_form, symplectic_defect
 from .system import DEFAULT_EPSILON, DampedLinearSystem, EquivalentStiffness, PhaseState, \
-    _equivalent_stiffness_arrays, _equivalent_stiffness_floats, _frozen, damping_work, \
-    quadratic_energy
+    _Record, _equivalent_stiffness_arrays, _equivalent_stiffness_floats, _frozen, _real, \
+    damping_work, quadratic_energy
 
 METHODS = ("midpoint_direct", "midpoint_indirect", "rk4")
 
@@ -179,15 +178,18 @@ def _step_kernel(K, C, tau, method, epsilon, direct):
     return step
 
 
-@dataclass(frozen=True)
-class TransitionPair:
-    """Both one-step transition matrices, frozen by ``transition_matrices``, with
+class TransitionPair(_Record):
+    """Both one-step transition matrices, taken by ``system._frozen``, with
     their symplectic defects; the indirect half is absent without a valid K̃."""
 
     direct: np.ndarray
     defect_direct: float
     indirect: np.ndarray | None
     defect_indirect: float | None
+
+    def __post_init__(self):
+        indirect = None if self.indirect is None else _frozen(self.indirect)
+        self.__dict__.update(direct=_frozen(self.direct), indirect=indirect)
 
 
 def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
@@ -199,7 +201,7 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
     direct half, while a ``ks`` with invalid components raises
     :class:`InvalidStiffnessError`.
     """
-    if not 0.0 < tau < np.inf:
+    if not (_real(tau) and 0.0 < tau < np.inf):
         raise ValueError(f"step size must be positive and finite, got {tau}")
     form = symplectic_form(sys.n)
     m, nn = scheme_factors(sys.K, sys.C, float(tau))
@@ -221,8 +223,7 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
     return TransitionPair(direct, defect_direct, indirect, defect_indirect)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_Record):
     """State and diagnostics at the end of one integration step.
 
     ``hhat`` is the running conservative ledger E + Σ work_increment; it
@@ -240,8 +241,7 @@ class StepRecord:
     ktilde: EquivalentStiffness
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """An integration run held as read-only arrays.
 
     ``t``, ``q`` and ``p`` hold the n_steps + 1 samples, initial state
@@ -279,7 +279,7 @@ class Trajectory:
         n = self.system.n
         steps = len(self.t) - 1
         if self.norm2_indirect is None:
-            object.__setattr__(self, "norm2_indirect", np.full(steps, np.nan))
+            self.__dict__["norm2_indirect"] = np.full(steps, np.nan)
         shapes = {"t": (steps + 1,), "q": (steps + 1, n), "p": (steps + 1, n),
                   "energy": (steps,), "work": (steps,), "hhat": (steps,),
                   "ktilde": (steps, n), "valid": (steps, n), "defect_indirect": (steps,),
@@ -288,10 +288,9 @@ class Trajectory:
             a = _frozen(getattr(self, name), bool if name == "valid" else float)
             if a.shape != shape:
                 raise DimensionError(f"{name} has shape {a.shape}, expected {shape}")
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "defect_direct", float(self.defect_direct))
-        object.__setattr__(self, "norm2_direct", float(self.norm2_direct))
+            self.__dict__[name] = a
+        self.__dict__.update(tau=float(self.tau), defect_direct=float(self.defect_direct),
+                             norm2_direct=float(self.norm2_direct))
 
     @property
     def n_steps(self) -> int:
@@ -307,16 +306,11 @@ class Trajectory:
         """Per-step records, built from the arrays on first use."""
         singular = self.singular.tolist()
         return tuple(
-            StepRecord(
-                state=PhaseState(self.t[k + 1], self.q[k + 1], self.p[k + 1]),
-                energy=float(self.energy[k]),
-                work_increment=float(self.work[k]),
-                hhat=float(self.hhat[k]),
-                defect_direct=self.defect_direct,
-                defect_indirect=None if singular[k] else float(self.defect_indirect[k]),
-                singular=singular[k],
-                ktilde=EquivalentStiffness(diag=self.ktilde[k], valid=self.valid[k]),
-            )
+            StepRecord(PhaseState(self.t[k + 1], self.q[k + 1], self.p[k + 1]),
+                       float(self.energy[k]), float(self.work[k]), float(self.hhat[k]),
+                       self.defect_direct,
+                       None if singular[k] else float(self.defect_indirect[k]), singular[k],
+                       EquivalentStiffness(self.ktilde[k], self.valid[k]))
             for k in range(self.n_steps)
         )
 
@@ -341,7 +335,7 @@ def _check_scheme(method, epsilon):
     """``ValueError`` unless ``method`` is in ``METHODS`` and 0 < ε < inf."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not 0.0 < epsilon < np.inf:
+    if not (_real(epsilon) and 0.0 < epsilon < np.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
@@ -354,7 +348,7 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
     the run with :class:`IntegrationError` at step 1, for every method."""
     if z0.n != sys.n:
         raise DimensionError(f"state dimension {z0.n} does not match system {sys.n}")
-    if not 0.0 < tau < np.inf:
+    if not (_real(tau) and 0.0 < tau < np.inf):
         raise ValueError(f"step size must be positive and finite, got {tau}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")

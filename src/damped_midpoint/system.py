@@ -10,7 +10,8 @@ closed-form underdamped scalar solution used as a convergence oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from numbers import Real
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,8 +40,51 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class DampedLinearSystem:
+def _real(x) -> bool:
+    """Whether ``x`` is a real number other than a bool, not coerced."""
+    return isinstance(x, float) or isinstance(x, Real) and not isinstance(x, bool)
+
+
+class _Record:
+    """Every record's immutable base. Its fields are the class's annotations; the
+    ``derived`` ones are set by ``__post_init__``, the rest passed as to a frozen dataclass."""
+
+    def __init_subclass__(cls, derived=()):
+        cls._values = attrgetter(*cls.__annotations__)   # a record's field values, in order
+        cls.__match_args__ = tuple(name for name in cls.__annotations__ if name not in derived)
+        cls._defaults = {k: v for k, v in vars(cls).items() if k in cls.__match_args__}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):   # bind as a call would
+            kwargs = dict(self._defaults, **dict(zip(names, args)), **kwargs)
+            if len(args) > len(names) or kwargs.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            args = map(kwargs.__getitem__, names)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check and normalise the fields; a record without checks has none."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__annotations__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values(self) == other._values(other) if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+
+class DampedLinearSystem(_Record, derived=("n", "monotone_energy_certified")):
     """Unit-mass linear system q̈ + C·q̇ + K·q = 0.
 
     K must be symmetric (within 1e-12 relative); C is any square matrix of
@@ -52,10 +96,12 @@ class DampedLinearSystem:
     K: np.ndarray
     C: np.ndarray
     label: str = ""
-    n: int = field(init=False)
-    monotone_energy_certified: bool = field(init=False)
+    n: int
+    monotone_energy_certified: bool
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         k, c = _frozen(self.K), _frozen(self.C)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise DimensionError(f"stiffness must be square, got shape {k.shape}")
@@ -78,10 +124,8 @@ class DampedLinearSystem:
         sym = 0.5 * c + 0.5 * c.T   # 0.5 * (c + c.T) on normal floats, without overflow
         smallest = float(np.linalg.eigvalsh(sym)[0])
         certified = smallest >= -_PSD_TOL * max(1.0, float(np.max(np.abs(sym))))
-        object.__setattr__(self, "K", k)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "n", int(k.shape[0]))
-        object.__setattr__(self, "monotone_energy_certified", bool(certified))
+        self.__dict__.update(K=k, C=c, n=int(k.shape[0]),
+                             monotone_energy_certified=bool(certified))
 
 
 def make_system(K, C, label: str = "") -> DampedLinearSystem:
@@ -89,8 +133,7 @@ def make_system(K, C, label: str = "") -> DampedLinearSystem:
     return DampedLinearSystem(K=K, C=C, label=label)
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(_Record):
     """One phase-space sample: time t, coordinates q, momenta p (= q̇)."""
 
     t: float
@@ -98,25 +141,24 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self):
+        if not _real(self.t):
+            raise ValueError(f"time must be a real number, got {self.t!r}")
         q, p = np.atleast_1d(_frozen(self.q), _frozen(self.p))
         if q.ndim != 1 or p.shape != q.shape:
             raise DimensionError(
                 f"coordinates and momenta must be equal-length vectors, "
                 f"got shapes {q.shape} and {p.shape}"
             )
-        if not (np.isfinite(self.t) and np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        if not (math.isfinite(self.t) and np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise ValueError("phase state must be finite")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        self.__dict__.update(t=float(self.t), q=q, p=p)
 
     @property
     def n(self) -> int:
         return self.q.shape[0]
 
 
-@dataclass(frozen=True)
-class EquivalentStiffness:
+class EquivalentStiffness(_Record):
     """Diagonal stiffness replacing the damping force along one step.
 
     ``diag`` holds the diagonal entries; ``valid[i]`` is False where the
@@ -134,8 +176,7 @@ class EquivalentStiffness:
         if not valid.all():
             diag = np.where(valid, diag, 0.0)
             diag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "valid", valid)
+        self.__dict__.update(diag=diag, valid=valid)
 
     @property
     def all_valid(self) -> bool:

@@ -77,6 +77,28 @@ class TestEnergyReport:
             with pytest.raises(ValueError):
                 series[0] = 0.0
 
+    def test_hands_its_series_over_uncopied(self, sys_1d, z0_1d, monkeypatch):
+        kept = []
+
+        def spy(a, dtype=float):
+            out = frozen(a, dtype)
+            kept.append(out is a)
+            return out
+        frozen = diagnostics._frozen
+        assert frozen is dm.system._frozen
+        monkeypatch.setattr(diagnostics, "_frozen", spy)
+        dm.energy_report(dm.integrate(sys_1d, z0_1d, 0.2, 5))
+        assert kept == [True] * 3
+
+    def test_report_built_by_hand_freezes_its_series(self):
+        series = [np.array([1.0, 0.5]) for _ in range(3)]
+        rep = dm.EnergyReport(*series, 1.0, 0.0, 0.0, True, 0)
+        for given, kept in zip(series, (rep.energy, rep.work_cumulative, rep.hhat)):
+            given[0] = 9.0
+            assert kept[0] == 1.0
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+
     def test_counts_singular_steps(self):
         k, c, tau, q0 = 1.0, 0.1, 0.2, 0.3
         sys_ = dm.make_system([[k]], [[c]])
@@ -188,7 +210,8 @@ class TestConvergenceStudy:
 
     @pytest.mark.parametrize("method, epsilon", [("leapfrog", dm.DEFAULT_EPSILON),
                                                  ("midpoint_indirect", 0.0),
-                                                 ("midpoint_indirect", np.nan)])
+                                                 ("midpoint_indirect", np.nan),
+                                                 ("midpoint_indirect", True)])
     def test_bad_method_or_epsilon_rejected_before_stepping(self, sys_2d, z0_2d,
                                                             monkeypatch, method, epsilon):
         def stepped(*args):
@@ -196,6 +219,14 @@ class TestConvergenceStudy:
         monkeypatch.setattr(diagnostics, "propagate", stepped)
         with pytest.raises(ValueError, match="method|epsilon"):
             dm.convergence_study(sys_2d, z0_2d, 0.2, 3, 2.0, method, epsilon)
+
+    @pytest.mark.parametrize("tau_max, t_final", [(True, 10.0), (0.1, True), ("0.1", 10.0),
+                                                  (np.inf, 10.0), (0.1, np.nan)])
+    def test_step_and_final_time_that_are_not_finite_reals_rejected(self, sys_1d, z0_1d,
+                                                                    tau_max, t_final):
+        """A bool is not read as 1.0, nor a string compared."""
+        with pytest.raises(ValueError, match="tau_max and t_final must be finite"):
+            dm.convergence_study(sys_1d, z0_1d, tau_max, 2, t_final, "midpoint_direct")
 
     @pytest.mark.parametrize("levels", [2.7, 2.0, True, np.nan, "2"])
     def test_levels_that_are_not_integers_rejected(self, sys_1d, z0_1d, levels):

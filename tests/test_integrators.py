@@ -260,7 +260,7 @@ class TestIntegrate:
                 run(sys_1d, dm.PhaseState(0.0, [0.1, 0.2], [0.0, 0.0]), 0.2, 10)
 
     @pytest.mark.parametrize("run", [dm.integrate, dm.propagate])
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, np.nan, np.inf])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, np.nan, np.inf, True, "1e-8"])
     def test_rejects_epsilon_not_positive_and_finite(self, sys_1d, z0_1d, run, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             run(sys_1d, z0_1d, 0.2, 3, "midpoint_indirect", epsilon)
@@ -318,7 +318,8 @@ class TestIntegrate:
             dm.integrate(sys_, z0, 0.2, 11)
         assert dm.propagate(sys_, z0, 0.2, 11).t == pytest.approx(2.2)
 
-    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan, 0.0, -0.1])
+    @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan, 0.0, -0.1,
+                                     True, np.True_, "0.2"])
     def test_rejects_step_sizes_that_are_not_positive_and_finite(self, sys_1d, z0_1d, tau):
         for run in (dm.integrate, dm.propagate):
             with pytest.raises(ValueError, match="step size"):
@@ -396,6 +397,32 @@ class TestTrajectoryArrays:
         tr = dm.integrate(sys_1d, z0_1d, 0.2, 5, method)
         assert len(kept) == 10 and all(kept)
         assert tr.q.base is tr.p.base
+
+    @pytest.mark.parametrize("with_ks", [False, True])
+    def test_transition_matrices_hand_arrays_over_uncopied(self, sys_1d, z0_1d, with_ks,
+                                                           monkeypatch):
+        ks = dm.integrate(sys_1d, z0_1d, 0.2, 1).steps[0].ktilde if with_ks else None
+        kept = []
+
+        def spy(a, dtype=float):
+            out = frozen(a, dtype)
+            kept.append(out is a)
+            return out
+        frozen = integrators._frozen
+        monkeypatch.setattr(integrators, "_frozen", spy)
+        pair = dm.transition_matrices(sys_1d, ks, 0.2)
+        assert kept == [True] * (1 + with_ks)
+        assert (pair.indirect is None) is not with_ks
+
+    def test_pair_built_by_hand_freezes_its_matrices(self):
+        direct = np.eye(2)
+        assert dm.TransitionPair(direct, 0.0, None, None).indirect is None
+        pair = dm.TransitionPair(direct, 0.0, direct, 0.0)
+        direct[0, 0] = 9.0
+        for kept in (pair.direct, pair.indirect):
+            assert kept[0, 0] == 1.0
+            with pytest.raises(ValueError):
+                kept[0, 0] = 0.0
 
     def test_read_only_view_of_a_writable_array_is_copied(self, sys_1d):
         """A read-only view does not freeze its base: the caller could still

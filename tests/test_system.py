@@ -1,9 +1,16 @@
-"""System construction, energies, equivalent stiffness, scalar oracle."""
+"""System construction, energies, equivalent stiffness, scalar oracle, and
+the immutable records of the whole package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import damped_midpoint as dm
+from damped_midpoint import cli
 from damped_midpoint.errors import DimensionError, InvalidStiffnessError
 from damped_midpoint.integrators import _substituting_pairs
 from damped_midpoint.system import _equivalent_stiffness_arrays
@@ -100,6 +107,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sys_1d.K[0, 0] = 9.0
 
+    @pytest.mark.parametrize("label", [5, None, b"paper_1d"])
+    def test_label_that_is_no_string_rejected(self, label):
+        with pytest.raises(ValueError, match="label must be a string"):
+            dm.make_system([[1.0]], [[0.1]], label=label)
+
 
 class TestPhaseState:
     def test_requires_finite(self):
@@ -109,6 +121,17 @@ class TestPhaseState:
     def test_requires_matching_lengths(self):
         with pytest.raises(DimensionError):
             dm.PhaseState(0.0, [1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("t", [True, np.False_, "0.0", None])
+    def test_time_that_is_no_real_number_rejected(self, t):
+        """Not read as 1.0 (True), nor parsed from a string."""
+        with pytest.raises(ValueError, match="time must be a real number"):
+            dm.PhaseState(t, [1.0], [0.0])
+
+    @pytest.mark.parametrize("t", [1, np.float32(0.5), np.int64(2)])
+    def test_real_times_of_other_types_kept_as_floats(self, t):
+        state = dm.PhaseState(t, [1.0], [0.0])
+        assert type(state.t) is float and state.t == t
 
 
 class TestTotalEnergy:
@@ -274,3 +297,104 @@ class TestAnalytic1d:
         z = np.linalg.matrix_power(r, 100000) @ np.array([z0_1d.q[0], z0_1d.p[0]])
         qa, pa = dm.analytic_1d(2.0, 0.05, 0.1, 0.2, 10.0)
         assert np.max(np.abs(z - [qa, pa])) <= 1e-8
+
+
+#: The ten public records and their fields in order: those a caller passes,
+#: then the derived ones that construction sets.
+RECORDS = {
+    "DampedLinearSystem": (("K", "C", "label"), ("n", "monotone_energy_certified")),
+    "PhaseState": (("t", "q", "p"), ()),
+    "EquivalentStiffness": (("diag", "valid"), ()),
+    "TransitionPair": (("direct", "defect_direct", "indirect", "defect_indirect"), ()),
+    "StepRecord": (("state", "energy", "work_increment", "hhat", "defect_direct",
+                    "defect_indirect", "singular", "ktilde"), ()),
+    "Trajectory": (("system", "tau", "method", "t", "q", "p", "energy", "work", "hhat",
+                    "ktilde", "valid", "defect_direct", "defect_indirect", "norm2_direct",
+                    "norm2_indirect"), ()),
+    "EnergyReport": (("energy", "work_cumulative", "hhat", "initial_energy",
+                      "max_hhat_deviation", "max_energy_residual", "monotone",
+                      "singular_steps"), ()),
+    "ConvergenceRow": (("tau", "error", "observed_order"), ()),
+    "ConvergenceTable": (("rows", "reference"), ()),
+    "RunConfig": (("system", "initial", "tau", "n_steps", "method", "epsilon",
+                   "output_prefix", "label"), ()),
+}
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record, as the library makes it."""
+    config = cli.load_config("paper_1d")
+    tr = dm.integrate(config.system, config.initial, 0.2, 3, "midpoint_indirect")
+    table = dm.convergence_study(config.system, config.initial, 0.1, 2, 1.0,
+                                 "midpoint_direct")
+    step = tr.steps[0]
+    made = (config.system, step.state, step.ktilde,
+            dm.transition_matrices(config.system, step.ktilde, 0.2), step, tr,
+            dm.energy_report(tr), table.rows[1], table, config)
+    return {type(record).__name__: record for record in made}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    def test_repr_names_every_field(self, records, name):
+        record = records[name]
+        passed, derived = RECORDS[name]
+        fields = ", ".join(f"{field}={getattr(record, field)!r}" for field in passed + derived)
+        assert repr(record) == f"{name}({fields})"
+
+    def test_built_by_position_or_by_keyword(self, records, name):
+        record = records[name]
+        passed, _ = RECORDS[name]
+        values = [getattr(record, field) for field in passed]
+        record_type = type(record)
+        for rebuilt in (record_type(*values), record_type(**dict(zip(passed, values))),
+                        record_type(values[0], **dict(zip(passed[1:], values[1:])))):
+            assert repr(rebuilt) == repr(record)
+
+    def test_binding_errors_are_type_errors(self, records, name):
+        record = records[name]
+        passed, derived = RECORDS[name]
+        values = [getattr(record, field) for field in passed]
+        record_type = type(record)
+        for args, kwargs in [(values[:1], {}), (values + [None], {}),
+                             (values, {passed[0]: values[0]}),
+                             (values, {"unknown": None}),
+                             (values, dict.fromkeys(derived, None))]:
+            if kwargs or len(args) != len(passed):
+                with pytest.raises(TypeError):
+                    record_type(*args, **kwargs)
+
+    def test_assignment_and_deletion_refused(self, records, name):
+        record = records[name]
+        passed, derived = RECORDS[name]
+        for field in passed + derived + ("unknown",):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert repr(record).startswith(f"{name}(")
+
+
+def test_records_compare_and_hash_by_their_fields():
+    row = dm.ConvergenceRow(0.1, 1e-3, None)
+    assert row == dm.ConvergenceRow(tau=0.1, error=1e-3, observed_order=None)
+    assert hash(row) == hash(dm.ConvergenceRow(0.1, 1e-3, None))
+    assert row != dm.ConvergenceRow(0.1, 1e-3, 2.0)
+    assert row != (0.1, 1e-3, None)
+    state = dm.PhaseState(0.0, [1.0], [0.0])
+    assert state == state and state != row
+    with pytest.raises(TypeError):
+        hash(state)   # arrays are unhashable, as in a frozen dataclass
+
+
+def test_package_import_loads_no_dataclasses():
+    """The records generate no code: a fresh interpreter that imports the
+    command line loads no ``dataclasses`` module."""
+    src = Path(dm.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, damped_midpoint.cli; "
+         "print(damped_midpoint.__file__); print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == [dm.__file__, "False"]
