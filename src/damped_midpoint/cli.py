@@ -148,11 +148,13 @@ def _text(obj: dict, key: str, default=None) -> str | None:
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and check a JSON run configuration, resolving bundled names and
-    overrides; any field it rejects raises :class:`ConfigError`."""
+    overrides; any field it rejects raises :class:`ConfigError`. Only a
+    name with no directory part that names no file is a bundled config's."""
+    bare = not os.path.dirname(path)
     path = Path(path)
     if not path.exists():
         bundled = bundled_config_path(path.name)
-        if bundled.exists():
+        if bare and bundled.exists():
             path = bundled
         else:
             raise ConfigError(f"config file not found: {path}")

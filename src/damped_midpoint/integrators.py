@@ -28,7 +28,7 @@ from .errors import DimensionError, IntegrationError, InvalidStiffnessError, \
 from .symplectic import frobenius_squared, symplectic_form, symplectic_defect
 from .system import DEFAULT_EPSILON, DampedLinearSystem, EquivalentStiffness, PhaseState, \
     _Record, _equivalent_stiffness_arrays, _equivalent_stiffness_floats, _frozen, _real, \
-    damping_work, quadratic_energy
+    _step_size, damping_work, quadratic_energy
 
 METHODS = ("midpoint_direct", "midpoint_indirect", "rk4")
 
@@ -60,14 +60,13 @@ def scheme_factors(K, C, tau: float):
     half = 0.5 * tau
     idx = np.arange(n)
     shape = np.broadcast_shapes(K.shape, C.shape)[:-2] + (2 * n, 2 * n)
-    m = np.zeros(shape)
-    nn = np.zeros(shape)
-    m[..., idx, idx] = 1.0
-    m[..., n + idx, n + idx] = 1.0
-    m[..., idx, n + idx] = -half
-    nn[..., idx, idx] = 1.0
-    nn[..., n + idx, n + idx] = 1.0
-    nn[..., idx, n + idx] = half
+    template = np.eye(2 * n)
+    template[idx, n + idx] = -half
+    m = np.empty(shape)
+    m[...] = template
+    template[idx, n + idx] = half
+    nn = np.empty(shape)
+    nn[...] = template
     # (τ/2)·K may overflow to inf, silently; the factor then fails its pivot test.
     with np.errstate(over="ignore", invalid="ignore"):
         m[..., n:, :n] = half * K + C
@@ -80,20 +79,20 @@ def _substituting_pairs(K, tau: float):
 
     The returned ``pairs(d)`` is ``scheme_factors(K + np.diag(d), 0, tau)``
     bit for bit, for one K̃ diagonal d (a float list or an (n,) array) or
-    a stack of them (N, n). It copies the pair with K̃ = 0 and writes only
-    the diagonal of the lower-left blocks: s = (τ/2)·(K[i, i] + d[i]),
-    stored as s + 0.0 in M and 0.0 - s in N. The other entries of that
-    block are the template's (τ/2)·K + 0.0, which already turns a -0.0
-    into +0.0, as adding the zero off-diagonal of diag(d) and the zero
-    damping does. One d is written entry by entry, a stack on numpy.
+    a stack of them (N, n). A stack is ``scheme_factors`` of the stacked
+    K with d added on its diagonal. One d copies the pair with K̃ = 0 and
+    writes only the diagonal of the lower-left blocks, entry by entry:
+    s = (τ/2)·(K[i, i] + d[i]), stored as s + 0.0 in M and 0.0 - s in N.
+    The other entries of that block are the template's (τ/2)·K + 0.0,
+    which already turns a -0.0 into +0.0, as adding the zero off-diagonal
+    of diag(d) and the zero damping does.
     """
     n = K.shape[0]
-    m0, n0 = scheme_factors(K, np.zeros_like(K), tau)
+    zeros = np.zeros_like(K)
+    m0, n0 = scheme_factors(K, zeros, tau)
     half = 0.5 * tau
-    kdiag = np.diagonal(K)
-    kfloats = kdiag.tolist()
-    # Entries (n + i, i) of a 2n×2n matrix, i < n, in its row-major ravel.
-    block_diag = slice(2 * n * n, None, 2 * n + 1)
+    kfloats = np.diagonal(K).tolist()
+    idx = np.arange(n)
 
     def pairs(d):
         if isinstance(d, list) or d.ndim == 1:
@@ -102,15 +101,9 @@ def _substituting_pairs(K, tau: float):
                 s = half * (k + di)
                 m[n + i, i], nn[n + i, i] = s + 0.0, 0.0 - s
             return m, nn
-        s = half * (kdiag + d)
-        shape = s.shape[:-1] + m0.shape
-        m = np.empty(shape)
-        m[...] = m0
-        nn = np.empty(shape)
-        nn[...] = n0
-        m.reshape(shape[:-2] + (-1,))[..., block_diag] = s + 0.0
-        nn.reshape(shape[:-2] + (-1,))[..., block_diag] = 0.0 - s
-        return m, nn
+        stiffness = np.array(np.broadcast_to(K, d.shape + (n,)))
+        stiffness[..., idx, idx] += d
+        return scheme_factors(stiffness, zeros, tau)
     return pairs
 
 
@@ -201,10 +194,9 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
     direct half, while a ``ks`` with invalid components raises
     :class:`InvalidStiffnessError`.
     """
-    if not (_real(tau) and 0.0 < tau < np.inf):
-        raise ValueError(f"step size must be positive and finite, got {tau}")
+    tau = _step_size(tau)
     form = symplectic_form(sys.n)
-    m, nn = scheme_factors(sys.K, sys.C, float(tau))
+    m, nn = scheme_factors(sys.K, sys.C, tau)
     direct = linalg.lu_solve(linalg.lu_factor(m), nn)
     direct.setflags(write=False)
     defect_direct = symplectic_defect(direct, form)
@@ -216,7 +208,7 @@ def transition_matrices(sys: DampedLinearSystem, ks: EquivalentStiffness | None,
         )
     if not ks.all_valid:
         raise InvalidStiffnessError(np.flatnonzero(~ks.valid))
-    m2, n2 = _substituting_pairs(sys.K, float(tau))(ks.diag)
+    m2, n2 = _substituting_pairs(sys.K, tau)(ks.diag)
     indirect = linalg.lu_solve(linalg.lu_factor(m2), n2)
     indirect.setflags(write=False)
     defect_indirect = symplectic_defect(indirect, form)
@@ -348,14 +340,13 @@ def _start(sys, z0, tau, n_steps, method, epsilon):
     the run with :class:`IntegrationError` at step 1, for every method."""
     if z0.n != sys.n:
         raise DimensionError(f"state dimension {z0.n} does not match system {sys.n}")
-    if not (_real(tau) and 0.0 < tau < np.inf):
-        raise ValueError(f"step size must be positive and finite, got {tau}")
+    tau = _step_size(tau)
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     _check_scheme(method, epsilon)
-    n_steps, tau = int(n_steps), float(tau)
+    n_steps = int(n_steps)
     try:   # the last timestamp, as integrate and propagate compute it
         finite = np.isfinite(z0.t + n_steps * tau)
     except OverflowError:   # an n_steps past the float range

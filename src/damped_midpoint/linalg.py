@@ -14,10 +14,10 @@ length 2 or more rounds by the CPU's kernel (a fused multiply-add chain
 on some, multiply then add on others), and Python has no fused
 multiply-add before 3.13, so every such dot stays in numpy.
 
-Two loops substitute. One vector runs :func:`lu_solver`: on the four
-factor floats at m = 2, else :func:`_row_solver`'s prepared row loop.
-Everything else, a matrix right-hand side or a stack of either, runs
-:func:`_substitute`, one product per row over the whole stack. The
+Two loops substitute. :func:`lu_solver`, prepared for many vectors,
+runs on the four factor floats at m = 2, else :func:`_row_solver`'s
+prepared row loop. :func:`lu_solve` runs :func:`_substitute` for every
+right-hand side, one product per row over the whole stack. The
 time-centered scheme's factors [[I, D], [A, I]] are factored through
 their Schur block (:func:`_scheme_half`) and solved by both loops without
 the rows their structure makes known, bit for bit the full loops.
@@ -255,20 +255,19 @@ def lu_solve(factorization, b) -> np.ndarray:
     """Solve A·x = b given ``lu_factor`` output; ``b`` may be a vector or matrix.
 
     For a stacked factorization ``b`` holds one right-hand side per
-    matrix, (N, m) or (N, m, r). One vector is :func:`lu_solver`'s solve.
-    Everything else runs :func:`_substitute`'s row loop over the whole
-    stack, a stack of vectors as (N, m, 1) columns; each row product is
-    one vector-matrix product per item, the same kernel a single solve
-    calls. Factorizations whose first n rows are [I | diag(D)] skip the
-    rows known in advance, all items of a stack or none.
+    matrix, (N, m) or (N, m, r). Every ``b`` runs :func:`_substitute`'s
+    row loop over the whole stack, vectors as (m, 1) columns; each row
+    product is one vector-matrix product per item, the same kernel a
+    single solve calls. Factorizations whose first n rows are [I | diag(D)]
+    skip the rows known in advance, all items of a stack or none.
     """
     lu, perm = factorization
+    if perm.ndim not in (1, 2) or lu.shape != perm.shape + perm.shape[-1:]:
+        raise DimensionError(f"expected one factorization, got lu of shape {lu.shape}")
     b = np.asarray(b, dtype=float)
     if b.shape[: lu.ndim - 1] != lu.shape[:-1] or b.ndim > lu.ndim:
         raise DimensionError(
             f"right-hand side has shape {b.shape}, factorization has {lu.shape}")
-    if b.ndim == 1:
-        return lu_solver(factorization)(b)
     vectors = b.ndim < lu.ndim
     if vectors:
         b = b[..., None]
@@ -321,6 +320,7 @@ def lu_solver(factorization, left=None):
     of shape (m,) that may be b, and returns it; nothing else is written.
     With a left factor N, ``lu_solver(f, N)(z, out)`` is
     ``lu_solver(f)(N.dot(z), out)`` bit for bit; ``out`` must not be z.
+    An N that is not an (m, m) array is refused here, once.
 
     At m = 2 both substitution products have one element and run on the
     four factor floats as ``0.0 + a * b`` (``@`` of one-element vectors
@@ -335,6 +335,9 @@ def lu_solver(factorization, left=None):
     m = len(perm)
     if lu.shape != (m, m):
         raise DimensionError(f"expected one factorization, got lu of shape {lu.shape}")
+    if left is not None and not (isinstance(left, np.ndarray) and left.shape == (m, m)):
+        raise DimensionError(f"left factor has shape {np.shape(left)}, factorization has "
+                             f"{lu.shape}")
     if m != 2:
         solve = _row_solver(lu, perm, _unit_rows(lu), left)
     else:

@@ -77,10 +77,15 @@ def scaled_verdict(defects, norms2):
     "symplectic" when every defect passes, else "unsymplectic", or
     "insufficient data" for an empty family or one with a defect that is
     not finite; the largest defect / max(1, ‖F‖_F²); and the position of
-    its first occurrence (both None with insufficient data).
+    its first occurrence (both None with insufficient data). The two
+    inputs must be 1-D and of one shape.
     """
-    defects = np.asarray(defects, dtype=float)
-    scale = np.maximum(1.0, np.asarray(norms2, dtype=float))
+    defects, norms2 = np.asarray(defects, dtype=float), np.asarray(norms2, dtype=float)
+    if defects.ndim != 1 or norms2.shape != defects.shape:
+        raise DimensionError(
+            f"expected defects and norms of one shape (N,), got {defects.shape} and "
+            f"{norms2.shape}")
+    scale = np.maximum(1.0, norms2)
     if defects.size == 0 or not np.isfinite(defects).all():
         return "insufficient data", None, None
     ratio = defects / scale

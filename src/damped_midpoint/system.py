@@ -45,6 +45,14 @@ def _real(x) -> bool:
     return isinstance(x, float) or isinstance(x, Real) and not isinstance(x, bool)
 
 
+def _step_size(tau) -> float:
+    """``tau`` as a float; ``ValueError`` unless it is a real number other
+    than a bool with 0 < τ < inf."""
+    if not (_real(tau) and 0.0 < tau < np.inf):
+        raise ValueError(f"step size must be positive and finite, got {tau}")
+    return float(tau)
+
+
 class _Record:
     """Every record's immutable base. Its fields are the class's annotations; the
     ``derived`` ones are set by ``__post_init__``, the rest passed as to a frozen dataclass."""
@@ -211,10 +219,12 @@ def damping_work(sys: DampedLinearSystem, q_from: np.ndarray, q_to: np.ndarray,
     Nonnegative whenever C + Cᵀ is positive semidefinite; the exact
     discrete energy identity of the midpoint scheme is
     E_after - E_before = -damping_work. Rows of (N, n) coordinate stacks
-    give the work of N steps.
+    give the work of N steps. A τ that is not a positive finite real is
+    refused with ``ValueError``.
     """
+    tau = _step_size(tau)
     dq = np.asarray(q_to, dtype=float) - np.asarray(q_from, dtype=float)
-    return rowdot(dq, _matvec(sys.C, dq)) / float(tau)
+    return rowdot(dq, _matvec(sys.C, dq)) / tau
 
 
 def _equivalent_stiffness_arrays(C: np.ndarray, q_k: np.ndarray, q_k1: np.ndarray,

@@ -10,7 +10,8 @@ config is one entry below; both matrices pick it up.
 
 Run as a script, ``python tests/entry_configs.py OUT`` writes each
 object config to ``OUT/<name>.json`` and prints one line per case:
-config argument, subcommand, CSV kind, JSON kind and expected exit.
+config name, config argument, subcommand, CSV kind, JSON kind and
+expected exit.
 """
 
 import json
@@ -29,7 +30,7 @@ STEPS = 20
 
 
 class EntryConfig(NamedTuple):
-    config: object   # a bundled config's name, or the JSON value itself
+    config: object   # a bundled config's name or a path, or the JSON value itself
     exits: tuple     # exit code of each of SUBCOMMANDS, in order, at --steps STEPS
     reason: str
 
@@ -112,6 +113,10 @@ ENTRY_CONFIGS = {
                          "A method outside METHODS is a config error."),
     "epsilon-0": EntryConfig({**_PAPER_1D, "epsilon": 0}, _CONFIG_ERROR,
                              "An epsilon that is not positive is a config error."),
+    "missing-dir": EntryConfig("/no/such/dir/paper_1d.json", _CONFIG_ERROR,
+                               "A missing file with a directory part is a config error: "
+                               "only a bare name stands for a bundled config (this path "
+                               "used to run the bundled paper_1d and exit 0)."),
     "start-2d": EntryConfig(_config([[2.0]], [[0.05]], [0.1, 0.2], [0.2, 0.1], 0.2),
                             _CONFIG_ERROR,
                             "A 2-component start on paper_1d's scalar system is a config "
@@ -145,4 +150,4 @@ def argument(name, directory):
 if __name__ == "__main__":
     arguments = {name: argument(name, sys.argv[1]) for name in ENTRY_CONFIGS}
     for name, sub, code in CASES:
-        print(arguments[name], sub, *SUBCOMMANDS[sub], code)
+        print(name, arguments[name], sub, *SUBCOMMANDS[sub], code)

@@ -321,11 +321,15 @@ class TestIntegrate:
     @pytest.mark.parametrize("tau", [np.inf, -np.inf, np.nan, 0.0, -0.1,
                                      True, np.True_, "0.2"])
     def test_rejects_step_sizes_that_are_not_positive_and_finite(self, sys_1d, z0_1d, tau):
+        """Also ``damping_work``, which returned inf at τ = 0, a negative
+        work at τ < 0 and read True as 1.0."""
         for run in (dm.integrate, dm.propagate):
             with pytest.raises(ValueError, match="step size"):
                 run(sys_1d, z0_1d, tau, 3)
         with pytest.raises(ValueError, match="step size"):
             dm.transition_matrices(sys_1d, None, tau)
+        with pytest.raises(ValueError, match="step size"):
+            dm.damping_work(sys_1d, z0_1d.q, z0_1d.q + 0.1, tau)
 
     def test_accepts_numpy_integer_step_count(self, sys_1d, z0_1d):
         assert dm.integrate(sys_1d, z0_1d, 0.2, np.int64(3)).n_steps == 3

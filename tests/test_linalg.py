@@ -70,11 +70,18 @@ def test_rhs_size_mismatch_rejected():
         solve(np.eye(3), np.ones(4))
 
 
-@pytest.mark.parametrize("shape, m", [((3, 4), 3), ((3, 2), 3), ((3,), 3), ((3, 3), 4)])
-def test_malformed_factorization_rejected(shape, m):
-    """A factorization whose lu is not (m, m) for its m pivots."""
+@pytest.mark.parametrize("shape, perm", [((3, 4), (3,)), ((3, 2), (3,)), ((3,), (3,)),
+                                         ((3, 3), (4,)), ((3, 3), (2,)), ((2, 3, 3), (2, 2)),
+                                         ((2, 3, 3), (3,)), ((2, 3, 2), (2, 3))])
+@pytest.mark.parametrize("columns", [(), (3,)])
+def test_malformed_factorization_rejected(shape, perm, columns):
+    """A factorization whose lu is not (m, m) for its m pivots, or a stack
+    of them, is refused for a vector, a matrix and a stack of either. A
+    matrix or a stack used to reach the row loop, and fail there with
+    ``IndexError``."""
+    b = np.ones(shape[:max(len(shape) - 1, 1)] + columns)
     with pytest.raises(DimensionError, match="expected one factorization"):
-        lu_solve((np.zeros(shape), np.arange(m)), np.ones(shape[0]))
+        lu_solve((np.zeros(shape), np.zeros(perm, dtype=int)), b)
 
 
 def test_pivoting_handles_zero_leading_entry():
@@ -166,6 +173,20 @@ def test_prepared_solve_checks_its_right_hand_side(m):
     for shape in ((m + 1,), (m, 1), ()):
         with pytest.raises(DimensionError):
             solve(np.ones(shape))
+
+
+@pytest.mark.parametrize("m, shape", [(3, (4, 3)), (2, (3, 2)), (2, (2, 3)), (12, (12,)),
+                                      (1, (1, 1, 1))])
+def test_prepared_solve_checks_its_left_factor(m, shape):
+    """A left factor N that is not an (m, m) array is refused when the
+    solve is prepared. At m = 3 a (4, 3) N used to give a 3-vector from
+    rows of a 4-row product; at m = 2 a (3, 2) N with a length-3 ``out``
+    a wrong vector."""
+    rng = np.random.default_rng(m)
+    factorization = lu_factor(rng.standard_normal((m, m)) + m * np.eye(m))
+    for left in (np.ones(shape), np.ones((m, m)).tolist()):
+        with pytest.raises(DimensionError, match="left factor"):
+            lu_solver(factorization, left)
 
 
 def test_empty_matrix_solves_to_empty():
@@ -433,8 +454,9 @@ def test_special_entries_factor_as_the_reference(entry, value, finite):
 @pytest.mark.parametrize("m, scheme", [(1, False), (2, False), (3, False), (4, False),
                                        (12, False), (12, True), (32, True)])
 def test_prepared_solve_is_bitwise_the_reference(m, scheme):
-    """The prepared solve and the one-shot ``lu_solve`` of one vector take
-    one-element rows as 0.0 + a·x on floats and divide by float pivots.
+    """The prepared solve takes one-element rows as 0.0 + a·x on floats and
+    divides by float pivots; ``lu_solve`` of one vector, in the stack loop,
+    gives the same bits.
     Right-hand sides of signed zeros make every product ±0, so a
     one-element product of -0.0 that ``@`` turns into +0.0 shows in the
     result; non-finite ones reach the fallback of the structured solve

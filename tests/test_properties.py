@@ -390,7 +390,7 @@ def vector_solves(draw):
 @example((np.array([[2.0, 0.0, 0.0], [0.0, 3.0, -1.5], [0.0, 0.0, 4.0]]),
           np.array([1.0, -0.0, 0.0])))
 def test_vector_solve_is_the_stacked_kernel(system):
-    """The one-vector solve runs on Python floats at m = 2, and through
+    """The prepared one-vector solve runs on Python floats at m = 2, and through
     ``@`` (one-element rows) or ``ndarray.dot`` (longer rows) above it;
     signed zeros, infinities and NaNs on the right-hand side must come
     out as the stack's bits. m = 32 is the size of a 16-DOF system.
@@ -433,16 +433,21 @@ def test_matvec_dot_is_matmul(system):
 
 @st.composite
 def substituting_stiffness(draw):
-    """(K, a stack of K̃ diagonals, τ) with n ≤ 6 and entries ±0.0 often."""
+    """(K, a stack of K̃ diagonals, τ) with n ≤ 6 and entries ±0.0 often;
+    the diagonals also hold ±inf and NaN, as a K̃ whose quotient
+    underflows does."""
     n = draw(st.integers(1, 6))
     K = draw(hnp.arrays(float, (n, n), elements=lu_entries))
-    diags = draw(hnp.arrays(float, (draw(st.integers(1, 4)), n), elements=lu_entries))
+    diags = draw(hnp.arrays(float, (draw(st.integers(1, 4)), n), elements=st.one_of(
+        lu_entries, st.sampled_from([np.inf, -np.inf, np.nan]))))
     return K, diags, draw(st.floats(1e-3, 1.0))
 
 
 @property_settings
 @given(substituting_stiffness())
 @example((np.array([[-0.0, -0.0], [0.0, -0.0]]), np.array([[-0.0, 0.0], [0.0, -0.0]]), 0.5))
+@example((np.array([[1.0, -0.0], [-0.0, 2.0]]), np.array([[np.inf, -np.inf], [np.nan, -0.0]]),
+          0.5))
 def test_substituting_pairs_are_the_full_builder(case):
     K, diags, tau = case
     pairs = integrators._substituting_pairs(K, tau)

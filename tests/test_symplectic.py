@@ -112,6 +112,17 @@ class TestScaledVerdict:
         assert scaled_verdict([], []) == ("insufficient data", None, None)
         assert scaled_verdict([0.0, bad, 1.0], [1.0] * 3) == ("insufficient data", None, None)
 
+    @pytest.mark.parametrize("defects, norms2", [
+        ([1e-12, 1e-12], [1.0]),            # used to broadcast to "symplectic"
+        ([1e-12], [1.0, 1.0]),
+        ([[1e-12]], [[1.0]]),               # used to fail with numpy's TypeError
+        (1e-12, 1.0),
+    ])
+    def test_inputs_of_another_shape_are_refused(self, defects, norms2):
+        """Defects and norms are 1-D and of one shape."""
+        with pytest.raises(DimensionError):
+            scaled_verdict(defects, norms2)
+
 
 class TestCayley:
     def test_zero_maps_to_identity(self):
